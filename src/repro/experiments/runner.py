@@ -230,6 +230,30 @@ class RunResult:
         )
 
 
+def run_guarded(config: ConfigName, body: Callable[[], RunResult],
+                crashed: Callable[[str], RunResult] | None = None,
+                ) -> RunResult:
+    """Run one cell's ``body``, reporting a fault-induced error as a crash.
+
+    An error in :data:`FAULT_INDUCED_ERRORS` becomes ``crashed(reason)``
+    (default: a bare crashed result for ``config``) with reason
+    ``"ErrorType: message"``, so the sweep goes on with a figure hole.
+    :class:`InvariantViolation` derives SimulationError but is a
+    simulator bug, not a hole: it propagates, so the supervisor
+    quarantines it (kind ``invariant``) or an unsupervised run aborts.
+    """
+    try:
+        return body()
+    except InvariantViolation:
+        raise
+    except FAULT_INDUCED_ERRORS as error:
+        reason = f"{type(error).__name__}: {error}"
+        if crashed is None:
+            return RunResult(config=config, runtime=None, crashed=True,
+                             counters={}, crash_reason=reason)
+        return crashed(reason)
+
+
 @dataclass(frozen=True)
 class SweepStats:
     """Execution accounting for one sweep (reported, never persisted)."""
@@ -401,30 +425,20 @@ class SingleVmExperiment:
                 lambda: timeline.sample_all(machine.now))
 
         driver = VmDriver(machine, vm, workload, phase_callback=on_phase)
-        try:
-            self._run_to_completion(machine, driver)
-        except InvariantViolation:
-            # Derives SimulationError but must NOT become a crashed
-            # cell: a failed self-check is a simulator bug, and hiding
-            # it inside a figure hole defeats the auditor.  Propagate so
-            # the supervisor quarantines it (kind ``invariant``) or an
-            # unsupervised run aborts loudly.
-            machine.engine.stop()
-            raise
-        except FAULT_INDUCED_ERRORS as error:
-            # An injected fault (or watchdog) killed this configuration:
-            # report the cell as crashed rather than aborting the sweep.
-            machine.engine.stop()
+
+        def result(runtime, crashed: bool, reason=None) -> RunResult:
             return RunResult(
-                spec.name, None, True, vm.counters.snapshot(), phases,
-                timeline, degraded=vm.degraded,
-                crash_reason=f"{type(error).__name__}: {error}",
+                spec.name, runtime, crashed, vm.counters.snapshot(), phases,
+                timeline, degraded=vm.degraded, crash_reason=reason,
                 trace=machine.trace.finish())
-        runtime = None if driver.crashed else driver.runtime
-        return RunResult(
-            spec.name, runtime, driver.crashed,
-            vm.counters.snapshot(), phases, timeline, degraded=vm.degraded,
-            trace=machine.trace.finish())
+
+        def finish() -> RunResult:
+            self._run_to_completion(machine, driver)
+            return result(None if driver.crashed else driver.runtime,
+                          driver.crashed)
+
+        return run_guarded(spec.name, finish,
+                           lambda reason: result(None, True, reason))
 
     def _register_gauges(self, timeline: Timeline, machine: Machine,
                          vm) -> None:
@@ -446,8 +460,11 @@ class SingleVmExperiment:
         forever, so the engine is stopped once the workload is done.
         """
         # Run in slices: cheap because the engine just drains events.
-        while not driver.done:
-            if machine.engine.pending_events() == 0:
-                raise ExperimentError("engine drained before completion")
-            machine.engine.run(until=machine.now + 30.0)
-        machine.engine.stop()
+        # The engine stops however the run ends, crashes included.
+        try:
+            while not driver.done:
+                if machine.engine.pending_events() == 0:
+                    raise ExperimentError("engine drained before completion")
+                machine.engine.run(until=machine.now + 30.0)
+        finally:
+            machine.engine.stop()

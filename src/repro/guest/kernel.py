@@ -85,7 +85,8 @@ class GuestKernel:
 
         self._accessed: set[int] = set()
         self.scanner = ReclaimScanner(
-            self._referenced, named_fraction=config.named_fraction)
+            lambda clock_list, want: clock_list.scan(want, self._referenced),
+            named_fraction=config.named_fraction)
 
         self.balloon_pinned: set[int] = set()
         self.balloon_target = 0
@@ -95,16 +96,13 @@ class GuestKernel:
         self._zero_cursor = 0
         self._windows = config.os_kind is GuestOsKind.WINDOWS
         # Allocation runs once per page of guest activity: hoist the
-        # config-derived watermarks and the raw uniform-int primitive
-        # (``randint(1, w)`` consumes exactly one ``_randbelow(w)``
-        # draw, so binding it keeps the RNG sequence bit-identical).
+        # config-derived watermarks and the raw RNG primitive.
         self._free_min = config.derived_free_min
         self._free_target = config.derived_free_target
         self._alloc_window = config.allocator_window
         self._dirty_threshold = int(
             config.dirty_threshold_fraction * config.memory_pages)
-        self._getrandbits = getattr(
-            getattr(rng, "_random", None), "getrandbits", None)
+        self._getrandbits = rng._random.getrandbits
 
     # ------------------------------------------------------------------
     # operation dispatch
@@ -392,18 +390,15 @@ class GuestKernel:
         if window > n:
             window = n
         if window > 1:
-            if self._getrandbits is not None:
-                # randint(1, w) == 1 + _randbelow(w), and _randbelow is
-                # rejection sampling over getrandbits -- replicated
-                # inline so the draw sequence is identical.
-                k = window.bit_length()
-                getrandbits = self._getrandbits
+            # randint(1, w) == 1 + _randbelow(w), and _randbelow is
+            # rejection sampling over getrandbits -- replicated inline
+            # so the draw sequence is identical.
+            k = window.bit_length()
+            getrandbits = self._getrandbits
+            r = getrandbits(k)
+            while r >= window:
                 r = getrandbits(k)
-                while r >= window:
-                    r = getrandbits(k)
-                index = n - 1 - r
-            else:
-                index = n - self.rng.randint(1, window)
+            index = n - 1 - r
             free_list[index], free_list[-1] = (
                 free_list[-1], free_list[index])
         return free_list.pop()

@@ -31,97 +31,35 @@ class ScanResult:
 class ReclaimScanner:
     """Two-list clock reclaim with a tunable named-page preference.
 
-    ``referenced`` is probed (and cleared) per examined key -- wire it
-    to :meth:`repro.mem.ept.Ept.test_and_clear_accessed` on the host or
-    the guest's own accessed bookkeeping.
+    ``scan(clock_list, want)`` runs one clock-hand pass over a list and
+    returns ``(victims, examined)`` with the semantics of
+    :meth:`ClockList.scan` -- referenced keys get their bit cleared and
+    rotate to the tail.  The host passes a fused loop that also honours
+    DMA pins and referenced-bit noise (``Vm._build_scan``); the guest
+    passes ``ClockList.scan`` with its own accessed bookkeeping.  The
+    escalation pass ignores referenced bits and spares only the keys
+    ``unevictable`` names.
     """
 
     def __init__(
         self,
-        referenced: Callable[[Hashable], bool],
+        scan: Callable[[ClockList, int], tuple[list, int]],
         *,
         named_fraction: float = 0.75,
         unevictable: Callable[[Hashable], bool] | None = None,
-        noise: float = 0.0,
-        noise_rng=None,
-        probe: Callable[[Hashable], bool] | None = None,
-        scan: Callable[[ClockList, int], tuple[list, int]] | None = None,
     ) -> None:
         if not 0.0 <= named_fraction <= 1.0:
             raise MemoryError_(
                 f"named_fraction must be in [0, 1]: {named_fraction}")
-        if not 0.0 <= noise <= 1.0:
-            raise MemoryError_(f"noise must be in [0, 1]: {noise}")
-        if noise > 0.0 and noise_rng is None:
-            raise MemoryError_("noise requires a noise_rng")
         self.named_list = ClockList("named")
         self.anon_list = ClockList("anon")
         self.named_fraction = named_fraction
         self._unevictable = unevictable or (lambda key: False)
-        self._referenced_raw = referenced
-        self._noise = noise
-        self._noise_rng = noise_rng
-        #: ``probe`` is an optional caller-fused referenced predicate
-        #: that already implements the unevictable -> noise -> raw layer
-        #: order (one closure, no chained calls).  It runs once per
-        #: clock-hand examination, so hosts that can flatten the layers
-        #: into a single function (see ``Vm._build_scan_probe``) shave
-        #: two Python frames off every examination.  It must consume
-        #: exactly the same RNG draws as the composed equivalent.
-        self._referenced = probe if probe is not None \
-            else self._compose_probe(unevictable)
-        #: Optional caller-fused scan loop: ``scan(clock_list, want)``
-        #: must behave exactly like ``clock_list.scan(want, probe)``
-        #: but with the probe body inlined into the loop, so an
-        #: examination costs no Python frame at all (see
-        #: ``Vm._build_scan_fused``).  The escalation pass still goes
-        #: through ``ClockList.scan`` with the unevictable predicate.
         self._scan = scan
         #: Trace collector plus the VM name scans are attributed to;
         #: wired by the machine for host-side scanners under ``--trace``.
         self.trace = NULL_TRACE
         self.trace_vm: str | None = None
-
-    def _compose_probe(self, unevictable) -> Callable[[Hashable], bool]:
-        """Build the referenced probe with DMA protection and noise.
-
-        Pages pinned for in-flight DMA are treated as permanently
-        referenced.  The noise term randomly grants extra rotations,
-        modelling the disorder of real referenced-bit sampling -- the
-        seed of decayed swap sequentiality (see HostConfig.reclaim_noise).
-
-        The probe runs once per examined key, so the layers the caller
-        did not ask for (no pin predicate, zero noise) are compiled out
-        here instead of branched over per call.  Layer order is fixed:
-        unevictable, then noise (one RNG draw, same sequence as
-        ``noise_rng.chance``), then the real referenced bit.
-        """
-        raw = self._referenced_raw
-        noise = self._noise
-        if noise > 0.0:
-            inner = getattr(self._noise_rng, "_random", None)
-            if inner is not None:
-                rand = inner.random
-            else:  # non-standard rng double: fall back to its public API
-                chance = self._noise_rng.chance
-
-                def rand() -> float:
-                    return 0.0 if chance(noise) else 1.0
-
-            if unevictable is None:
-                def probe(key: Hashable) -> bool:
-                    return True if rand() < noise else raw(key)
-            else:
-                def probe(key: Hashable) -> bool:
-                    if unevictable(key):
-                        return True
-                    return True if rand() < noise else raw(key)
-        elif unevictable is None:
-            probe = raw
-        else:
-            def probe(key: Hashable) -> bool:
-                return True if unevictable(key) else raw(key)
-        return probe
 
     # -- membership maintenance --------------------------------------------
 
@@ -177,22 +115,14 @@ class ReclaimScanner:
 
         victims = result.victims
         scan = self._scan
-        if scan is not None:
-            named_victims, examined = scan(
-                self.named_list, min(from_named, len(self.named_list)))
-        else:
-            named_victims, examined = self.named_list.scan(
-                min(from_named, len(self.named_list)), self._referenced)
+        named_victims, examined = scan(
+            self.named_list, min(from_named, len(self.named_list)))
         result.examined += examined
         victims += [(key, True) for key in named_victims]
 
         remaining = want - len(victims)
         if remaining > 0 and len(self.anon_list):
-            if scan is not None:
-                anon_victims, examined = scan(self.anon_list, remaining)
-            else:
-                anon_victims, examined = self.anon_list.scan(
-                    remaining, self._referenced)
+            anon_victims, examined = scan(self.anon_list, remaining)
             result.examined += examined
             victims += [(key, False) for key in anon_victims]
 

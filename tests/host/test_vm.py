@@ -2,6 +2,7 @@
 
 from repro.mem.page import ZERO, AnonContent
 from tests.conftest import small_vm_config
+from tests.host.scan_oracle import dma_pinned, referenced
 from repro.config import VSwapperConfig
 
 
@@ -45,18 +46,34 @@ def test_mapper_preventer_shortcuts(machine):
 def test_referenced_dispatches_to_code_pages(vm):
     vm.qemu.accessed.add(3)
     key = ("code", 3)
-    assert vm._referenced(key)
-    assert not vm._referenced(key)
+    assert referenced(vm, key)
+    assert not referenced(vm, key)
+    # The host scan gives an accessed code page its second chance.
+    vm.qemu.accessed.add(3)
+    vm.scanner.note_resident(key, named=True)
+    result = vm.scanner.pick_victims(1)
+    assert result.victims == [(key, True)]
+    assert result.examined == 2
+    assert 3 not in vm.qemu.accessed
 
 
 def test_referenced_for_absent_gpa_is_false(vm):
-    assert not vm._referenced(0x777)
+    assert not referenced(vm, 0x777)
+    vm.scanner.note_resident(0x777, named=False)
+    result = vm.scanner.pick_victims(1)
+    assert result.victims == [(0x777, False)]
+    assert result.examined == 1
 
 
 def test_dma_pin_blocks_eviction(vm):
     vm.io_pinned.add(0x10)
-    assert vm._dma_pinned(0x10)
-    assert not vm._dma_pinned(("code", 1))
+    assert dma_pinned(vm, 0x10)
+    assert not dma_pinned(vm, ("code", 1))
+    for gpa in (0x10, 0x11):
+        vm.scanner.note_resident(gpa, named=True)
+    # Neither the clock pass nor escalation takes the pinned page.
+    result = vm.scanner.pick_victims(2)
+    assert result.victims == [(0x11, True)]
 
 
 def test_refresh_gauges_tracks_mapper(machine):

@@ -7,9 +7,14 @@ from repro.mem.reclaim import ReclaimScanner
 from repro.sim.rng import DeterministicRng
 
 
+def clock_scan(referenced):
+    """A scan callable that runs ``ClockList.scan`` with ``referenced``."""
+    return lambda clock_list, want: clock_list.scan(want, referenced)
+
+
 def make_scanner(referenced=None, **kwargs):
-    referenced = referenced or (lambda key: False)
-    return ReclaimScanner(referenced, **kwargs)
+    return ReclaimScanner(
+        clock_scan(referenced or (lambda key: False)), **kwargs)
 
 
 def test_resident_counting():
@@ -86,8 +91,8 @@ def test_examined_counts_rotations():
 
 def test_unevictable_pages_survive_even_escalation():
     pinned = {("named", 0)}
-    scanner = ReclaimScanner(
-        lambda key: False, unevictable=lambda key: key in pinned)
+    scanner = make_scanner(lambda key: key in pinned,
+                           unevictable=lambda key: key in pinned)
     for key in range(3):
         scanner.note_resident(("named", key), named=True)
     result = scanner.pick_victims(3)
@@ -96,19 +101,23 @@ def test_unevictable_pages_survive_even_escalation():
     assert len(victims) == 2
 
 
-def test_noise_requires_rng():
+# Referenced-bit noise is part of the host's scan (``Vm._build_scan``);
+# the fused loop is checked against its layered oracle in
+# tests/host/test_scan.py.
+
+def test_noise_requires_rng(vm):
     with pytest.raises(MemoryError_):
-        make_scanner(noise=0.5)
+        vm._build_scan(0.5, None)
 
 
-def test_noise_perturbs_eviction_order():
+def test_noise_perturbs_eviction_order(vm):
     def build(noise):
-        rng = DeterministicRng(3)
+        # GPAs 0..63 are not present in the EPT: without noise nothing
+        # is referenced and the hand takes them in order.
         scanner = ReclaimScanner(
-            lambda key: False, noise=noise, noise_rng=rng)
+            vm._build_scan(noise, DeterministicRng(3)))
         for key in range(64):
             scanner.note_resident(key, named=False)
-        victims, _ = [], None
         result = scanner.pick_victims(32)
         return [k for k, _ in result.victims]
 
