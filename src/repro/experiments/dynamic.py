@@ -25,6 +25,7 @@ from typing import Mapping, Sequence
 
 from repro.balloon.manager import BalloonManager, ManagerConfig
 from repro.balloon.policy import BalloonPolicy
+from repro.cluster import Cluster
 from repro.config import HostConfig, MachineConfig, VmConfig
 from repro.driver import VmDriver
 from repro.exec.executor import finish_figure, run_sweep
@@ -86,6 +87,43 @@ def make_mapreduce(scale: int, seed: int) -> MetisMapReduce:
     )
 
 
+def deploy_fleet(host: Machine | Cluster, spec: ConfigSpec, *,
+                 num_guests: int, scale: int, stagger_seconds: float,
+                 guest_mib: float = 2048) -> list[VmDriver]:
+    """Place ``num_guests`` phased MapReduce guests and their drivers.
+
+    Guest ``vmI`` is booted with a fifth of its memory holding history
+    (a freshly booted guest), given the Metis input and output files,
+    and starts ``I * stagger_seconds`` in.
+    """
+    drivers: list[VmDriver] = []
+    for i in range(num_guests):
+        vm = host.create_vm(VmConfig(
+            name=f"vm{i}",
+            guest=scaled_guest_config(guest_mib, scale),
+            vswapper=spec.vswapper,
+            image_size_pages=mib_pages(4096 / scale),
+            vcpus=2,
+        ))
+        vm.host.boot_guest(vm, fraction=0.2)
+        vm.guest.fs.create_file("metis-input", mib_pages(300 / scale))
+        vm.guest.fs.create_file("metis-output", mib_pages(16 / scale))
+        drivers.append(VmDriver(
+            host, vm, make_mapreduce(scale, seed=100 + i),
+            start_delay=i * stagger_seconds / scale))
+    return drivers
+
+
+def run_fleet(host: Machine | Cluster, drivers: list[VmDriver]) -> None:
+    """Run the engine in 60 s slices until every driver has finished or
+    crashed, then stop it."""
+    while not all(d.done for d in drivers):
+        if host.engine.pending_events() == 0:
+            raise RuntimeError("engine drained before guests finished")
+        host.engine.run(until=host.now + 60.0)
+    host.engine.stop()
+
+
 def run_phased(spec: ConfigSpec, *, num_guests: int, scale: int = 1,
                stagger_seconds: float = 10.0,
                host_mib: float = 8192,
@@ -99,23 +137,9 @@ def run_phased(spec: ConfigSpec, *, num_guests: int, scale: int = 1,
             swap_size_pages=mib_pages(16 * 1024 / scale),
         ),
     ))
-    drivers: list[VmDriver] = []
-    for i in range(num_guests):
-        vm = machine.create_vm(VmConfig(
-            name=f"vm{i}",
-            guest=scaled_guest_config(guest_mib, scale),
-            vswapper=spec.vswapper,
-            image_size_pages=mib_pages(4096 / scale),
-            vcpus=2,
-        ))
-        # Freshly booted guests: only a fraction of memory has history.
-        machine.boot_guest(vm, fraction=0.2)
-        vm.guest.fs.create_file(
-            "metis-input", mib_pages(300 / scale))
-        vm.guest.fs.create_file("metis-output", mib_pages(16 / scale))
-        drivers.append(VmDriver(
-            machine, vm, make_mapreduce(scale, seed=100 + i),
-            start_delay=i * stagger_seconds / scale))
+    drivers = deploy_fleet(machine, spec, num_guests=num_guests,
+                           scale=scale, stagger_seconds=stagger_seconds,
+                           guest_mib=guest_mib)
     if spec.ballooned:
         BalloonManager(machine, ManagerConfig(
             poll_interval=5.0 / scale,
@@ -125,13 +149,7 @@ def run_phased(spec: ConfigSpec, *, num_guests: int, scale: int = 1,
                 guest_swap_activity_threshold=max(8, 64 // scale),
             ),
         ))
-
-    while not all(d.done for d in drivers):
-        if machine.engine.pending_events() == 0:
-            raise RuntimeError("engine drained before guests finished")
-        machine.engine.run(until=machine.now + 60.0)
-    machine.engine.stop()
-
+    run_fleet(machine, drivers)
     runtimes = [d.runtime for d in drivers if not d.crashed]
     crashes = sum(1 for d in drivers if d.crashed)
     return DynamicResult(spec.name, runtimes, crashes)
