@@ -19,6 +19,11 @@ Each figure additionally writes a machine-readable
 ``BENCH_<figure_id>.json`` next to its prose ``.txt``: sweep stats
 plus the store's per-cell wall seconds, so CI can archive and diff
 benchmark timings without parsing prose.
+
+Figures whose harness id is shared with a different sweep (fig3 and
+fig9 both store under ``fig09``, with colliding cell ids) pass their
+own sweep to ``record_result``: their timings are then looked up cell
+by cell through the content key, never by cell id alone.
 """
 
 from __future__ import annotations
@@ -31,6 +36,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.exec.spec import Sweep
 from repro.exec.store import ResultStore
 
 #: Size divisor for benchmark runs.
@@ -51,13 +57,28 @@ def bench_store() -> ResultStore:
     return ResultStore(RESULTS_DIR / "store")
 
 
-def _timing_note(figure_result, store: ResultStore) -> str:
-    """Per-cell wall timings, read back from the persisted records."""
+def _cell_walls(figure_result, store: ResultStore,
+                sweep: Sweep | None = None) -> dict[str, float]:
+    """Recorded wall seconds per cell id: of ``sweep``'s own cells
+    (matched by content key) when given, else of every live cell the
+    store holds for the figure's harness id."""
     stats = figure_result.stats
     if stats is None:
-        return ""
-    timings = store.cell_timings(stats.experiment_id)
-    if not timings:
+        return {}
+    if sweep is None:
+        return store.cell_timings(stats.experiment_id)
+    walls = {}
+    for spec in sweep.cells:
+        entry = store.load_cell_entry(spec)
+        if entry is not None:
+            walls[spec.cell_id] = entry[1]
+    return walls
+
+
+def _timing_note(figure_result, timings: dict[str, float]) -> str:
+    """Per-cell wall timings, read back from the persisted records."""
+    stats = figure_result.stats
+    if stats is None or not timings:
         return ""
     slowest = sorted(timings.items(), key=lambda kv: -kv[1])[:5]
     cells = ", ".join(f"{cell}={wall:.2f}s" for cell, wall in slowest)
@@ -66,7 +87,7 @@ def _timing_note(figure_result, store: ResultStore) -> str:
             f"slowest cells (from store): {cells}]")
 
 
-def _timings_payload(figure_result, store: ResultStore) -> dict:
+def _timings_payload(figure_result, timings: dict[str, float]) -> dict:
     """Machine-readable form of one figure's benchmark outcome."""
     stats = figure_result.stats
     payload: dict = {
@@ -91,8 +112,7 @@ def _timings_payload(figure_result, store: ResultStore) -> dict:
             "wall_seconds": stats.wall_seconds,
             "cached_wall_seconds": stats.cached_wall_seconds,
         }
-        payload["cell_wall_seconds"] = dict(sorted(
-            store.cell_timings(stats.experiment_id).items()))
+        payload["cell_wall_seconds"] = dict(sorted(timings.items()))
     return payload
 
 
@@ -102,21 +122,24 @@ def record_result(bench_store):
 
     Writes the prose table to ``<figure_id>.txt`` and the per-cell
     wall times (read back from the result store) to
-    ``BENCH_<figure_id>.json``.
+    ``BENCH_<figure_id>.json``.  ``sweep`` names the figure's own cells
+    when its harness id is shared (see the module docstring).
     """
     RESULTS_DIR.mkdir(exist_ok=True)
 
-    def _record(figure_result, note: str = "") -> None:
+    def _record(figure_result, note: str = "",
+                sweep: Sweep | None = None) -> None:
         text = figure_result.rendered
         if note:
             text = f"{text}\n{note}"
-        timing = _timing_note(figure_result, bench_store)
+        timings = _cell_walls(figure_result, bench_store, sweep)
+        timing = _timing_note(figure_result, timings)
         if timing:
             text = f"{text}\n{timing}"
         (RESULTS_DIR / f"{figure_result.figure_id}.txt").write_text(
             text + "\n")
         (RESULTS_DIR / f"BENCH_{figure_result.figure_id}.json").write_text(
-            json.dumps(_timings_payload(figure_result, bench_store),
+            json.dumps(_timings_payload(figure_result, timings),
                        indent=2, sort_keys=True) + "\n")
         print()
         print(text)

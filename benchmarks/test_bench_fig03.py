@@ -5,7 +5,7 @@ Paper: baseline 38.7s, balloon 3.1s, vswapper 4.0s, balloon+vswapper
 """
 
 from benchmarks.conftest import run_once
-from repro.experiments.fig09 import run_fig03
+from repro.experiments.fig09 import build_fig03_sweep, run_fig03
 
 
 def test_bench_fig03(benchmark, bench_scale, record_result, bench_store):
@@ -19,7 +19,7 @@ def test_bench_fig03(benchmark, bench_scale, record_result, bench_store):
         f"vswapper/balloon = "
         f"{series['vswapper'] / series['balloon+base']:.2f}x (paper 1.29x)"
     )
-    record_result(result, note)
+    record_result(result, note, sweep=build_fig03_sweep(scale=bench_scale))
     assert series["baseline"] > 3 * series["vswapper"]
     assert series["vswapper"] < 2 * series["balloon+base"]
     assert series["balloon+vswap"] < 1.5 * series["balloon+base"]

@@ -11,7 +11,7 @@ the physics it observes.
 import time
 
 from benchmarks.conftest import run_once
-from repro.trace import set_tracing
+from repro.context import RunContext, run_context
 from repro.trace.collector import NULL_TRACE
 
 #: Iterations of the guarded-emit microbenchmark loop.
@@ -65,11 +65,8 @@ def test_bench_tracing_does_not_perturb_results(benchmark, bench_scale):
         scale=max(bench_scale, 16)).cells[0]
     runner = cell_runner(spec.experiment_id)
     untraced = runner(spec)
-    previous = set_tracing("full")
-    try:
+    with run_context(RunContext(trace="full")):
         traced = run_once(benchmark, lambda: runner(spec))
-    finally:
-        set_tracing(previous)
     assert untraced.trace is None
     assert traced.trace is not None and traced.trace.events
     assert traced.runtime == untraced.runtime

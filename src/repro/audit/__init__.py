@@ -3,10 +3,9 @@
 The simulator's failure mode of last resort is not a crash but a wrong
 figure: an accounting bug that leaks frames or maps a swapped-out page
 produces plausible-looking numbers with nothing to flag them.  The
-auditor turns that silence into an error.  When the process-wide
-paranoid flag is set (:func:`set_paranoid`, mirroring the fault layer's
-ambient default config), every host -- the single-host
-:class:`~repro.machine.Machine` as well as each
+auditor turns that silence into an error.  When the run context's
+``paranoid`` field is set (:class:`~repro.context.RunContext`), every
+host -- the single-host :class:`~repro.machine.Machine` as well as each
 :class:`~repro.cluster.host.Host` of a cluster, which additionally
 installs a :class:`~repro.audit.cluster.ClusterInvariantAuditor` for
 the cross-host placement invariants -- installs
@@ -32,30 +31,16 @@ The invariant families (see DESIGN.md, "The invariant auditor"):
 
 from repro.audit.auditor import InvariantAuditor
 from repro.audit.cluster import ClusterInvariantAuditor
-
-#: Process-wide paranoid flag.  Like the fault layer's default config
-#: this is ambient state: the CLI sets it once and every machine built
-#: afterwards (including in worker processes, where the executors
-#: re-install it explicitly) self-checks.
-_PARANOID = False
-
-
-def set_paranoid(enabled: bool) -> bool:
-    """Set the process-wide paranoid flag; returns the previous value."""
-    global _PARANOID
-    previous = _PARANOID
-    _PARANOID = bool(enabled)
-    return previous
+from repro.context import current_context
 
 
 def paranoid_enabled() -> bool:
     """Whether machines should install the invariant auditor."""
-    return _PARANOID
+    return current_context().paranoid
 
 
 __all__ = [
     "ClusterInvariantAuditor",
     "InvariantAuditor",
     "paranoid_enabled",
-    "set_paranoid",
 ]

@@ -320,19 +320,46 @@ def _run_one(experiment_id: str, scale: int, *, executor=None,
     return cells, executed, cached, retried, quarantined, cached_wall
 
 
-def _run_command(args: argparse.Namespace) -> int:
-    from dataclasses import replace
+def _run_context(args: argparse.Namespace) -> RunContext:
+    """The one :class:`RunContext` a ``run`` invocation installs.
 
+    Its fault plan and swap backend are captured into every cell spec
+    the sweeps build, so worker processes and cache keys both see
+    them; the other three fields only observe.
+    """
+    from dataclasses import replace
     from pathlib import Path
 
-    from repro.audit import set_paranoid
     from repro.config import FaultConfig
+    from repro.context import RunContext
+
+    faults = None
+    if (args.faults or args.kill_workers or args.host_faults is not None
+            or args.evac_deadline is not None):
+        faults = FaultConfig.chaos() if args.faults else FaultConfig()
+        faults = replace(faults, enabled=True,
+                         worker_kill_rate=args.kill_workers)
+        if args.host_faults is not None:
+            faults = replace(faults, host_crash_rate=args.host_faults,
+                             host_fault_seed=args.host_faults_seed)
+        if args.evac_deadline is not None:
+            faults = replace(faults, evac_deadline=args.evac_deadline)
+    profile_dir = None
+    if args.profile:
+        profile_dir = str(Path(args.results_dir or ".") / "profiles")
+    return RunContext(
+        faults=faults,
+        swap_backend=(args.swap_backend
+                      if args.swap_backend and args.swap_backend != "disk"
+                      else None),
+        paranoid=args.paranoid, trace=args.trace, profile_dir=profile_dir)
+
+
+def _run_command(args: argparse.Namespace) -> int:
+    from repro.context import run_context
     from repro.exec.executor import make_executor
     from repro.exec.store import ResultStore
-    from repro.faults.plan import StoreFaultConfig, set_default_fault_config
-    from repro.profiling import set_profiling
-    from repro.swapback.base import set_default_swap_backend
-    from repro.trace import set_tracing
+    from repro.faults.plan import StoreFaultConfig
 
     _validate_host_fault_rate(args.host_faults)
     _validate_evac_deadline(args.evac_deadline)
@@ -361,33 +388,8 @@ def _run_command(args: argparse.Namespace) -> int:
                              retries=args.retries,
                              supervise=args.kill_workers > 0)
 
-    if (args.faults or args.kill_workers or args.host_faults is not None
-            or args.evac_deadline is not None):
-        # The ambient plan is captured into every cell spec the sweeps
-        # build, so worker processes and cache keys both see it.
-        plan = FaultConfig.chaos() if args.faults else FaultConfig()
-        plan = replace(plan, enabled=True,
-                       worker_kill_rate=args.kill_workers)
-        if args.host_faults is not None:
-            plan = replace(plan, host_crash_rate=args.host_faults,
-                           host_fault_seed=args.host_faults_seed)
-        if args.evac_deadline is not None:
-            plan = replace(plan, evac_deadline=args.evac_deadline)
-        set_default_fault_config(plan)
-    if args.swap_backend and args.swap_backend != "disk":
-        # Captured into every cell spec the sweeps build (like the
-        # fault plan above), so workers and cache keys both see it.
-        set_default_swap_backend(args.swap_backend)
-    if args.paranoid:
-        set_paranoid(True)
-    if args.trace:
-        set_tracing(args.trace)
-    profile_dir = None
-    if args.profile:
-        profile_dir = (Path(args.results_dir) / "profiles"
-                       if args.results_dir else Path("profiles"))
-        set_profiling(profile_dir)
-    try:
+    ctx = _run_context(args)
+    with run_context(ctx):
         if args.experiment == "all":
             totals = [0, 0, 0, 0, 0, 0.0]
             for experiment_id in experiment_ids():
@@ -402,14 +404,8 @@ def _run_command(args: argparse.Namespace) -> int:
         else:
             _run_one(args.experiment, args.scale, executor=executor,
                      store=store, resume=args.resume)
-        if profile_dir is not None:
-            print(f"[cell profiles written under {profile_dir}/]")
-    finally:
-        set_default_fault_config(None)
-        set_default_swap_backend(None)
-        set_paranoid(False)
-        set_tracing(None)
-        set_profiling(None)
+    if ctx.profile_dir is not None:
+        print(f"[cell profiles written under {ctx.profile_dir}/]")
     return 0
 
 

@@ -23,14 +23,14 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-from repro.audit import ClusterInvariantAuditor, paranoid_enabled
+from repro.audit import ClusterInvariantAuditor
 from repro.config import ClusterConfig, VmConfig
+from repro.context import current_context
 from repro.core.migration import MigrationPlanner
-from repro.faults.plan import FaultPlan, default_fault_config
+from repro.faults.plan import FaultPlan
 from repro.host.vm import Vm
 from repro.sim.engine import Engine
 from repro.sim.rng import DeterministicRng
-from repro.trace import tracing_mode
 from repro.trace.collector import (
     HostTaggedTrace,
     NULL_TRACE,
@@ -58,10 +58,11 @@ class Cluster:
     def __init__(self, config: ClusterConfig) -> None:
         config.validate()
         self.cfg = config
-        # The config's explicit FaultConfig wins; otherwise the
-        # process-wide default (the CLI's --faults flag) applies.
+        ctx = current_context()
+        # The config's explicit FaultConfig wins; otherwise the run
+        # context's plan (the CLI's --faults flag) applies.
         fault_cfg = (config.faults if config.faults is not None
-                     else default_fault_config())
+                     else ctx.faults)
         if fault_cfg is not None:
             fault_cfg.validate()
         self.engine = Engine(
@@ -76,11 +77,10 @@ class Cluster:
             FaultPlan(fault_cfg, self.rng.fork("faults"))
             if fault_cfg is not None and fault_cfg.enabled else None)
 
-        #: Trace collector; live only under --trace (the ambient mode).
+        #: Trace collector; live only under --trace.
         #: One shared ring: cross-host ordering is the point.
-        mode = tracing_mode()
-        self.trace = (TraceCollector(self.engine.clock, mode=mode)
-                      if mode is not None else NULL_TRACE)
+        self.trace = (TraceCollector(self.engine.clock, mode=ctx.trace)
+                      if ctx.trace is not None else NULL_TRACE)
         self.engine.trace = self.trace
 
         multi = len(config.hosts) > 1
@@ -115,7 +115,7 @@ class Cluster:
 
         #: Cross-host invariant auditor; --paranoid only.
         self.auditor: ClusterInvariantAuditor | None = (
-            ClusterInvariantAuditor(self) if paranoid_enabled() else None)
+            ClusterInvariantAuditor(self) if ctx.paranoid else None)
 
         if config.migration.enabled:
             self.engine.add_periodic(

@@ -19,13 +19,14 @@ from __future__ import annotations
 
 import enum
 
-from repro.audit import InvariantAuditor, paranoid_enabled
+from repro.audit import InvariantAuditor
 from repro.config import (
     DiskConfig,
     HostNodeConfig,
     SwapBackendConfig,
     VmConfig,
 )
+from repro.context import current_context
 from repro.disk.device import DiskDevice
 from repro.disk.geometry import DiskLayout
 from repro.disk.image import VirtualDiskImage
@@ -143,10 +144,10 @@ class Host:
         self.swapback.trace = trace
 
         #: Runtime invariant auditor; installed only under --paranoid
-        #: (the ambient flag), so ordinary runs pay nothing.
+        #: (the run context's flag), so ordinary runs pay nothing.
         self.auditor: InvariantAuditor | None = (
             InvariantAuditor(self, label=audit_label)
-            if paranoid_enabled() else None)
+            if current_context().paranoid else None)
         self.hypervisor.auditor = self.auditor
 
     # ------------------------------------------------------------------

@@ -28,9 +28,10 @@ from __future__ import annotations
 
 import time
 from concurrent.futures import ProcessPoolExecutor, as_completed
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
+from repro.context import RunContext, current_context, run_context
 from repro.errors import ConfigError
 from repro.exec.spec import CellSpec, Sweep, faults_from_params
 from repro.exec.store import ResultStore, cell_key
@@ -58,38 +59,29 @@ def execute_cell(spec: CellSpec) -> RunResult:
     # Deferred imports keep module import acyclic (registry imports the
     # experiment modules, which import this module for run_sweep).
     from repro.experiments.registry import cell_runner
-    from repro.faults.plan import (
-        default_fault_config,
-        set_default_fault_config,
-    )
-    from repro.profiling import profile_runner, profiling_dir
-    from repro.swapback.base import (
-        default_swap_backend,
-        set_default_swap_backend,
-    )
+    from repro.profiling import profile_runner
 
     runner = cell_runner(spec.experiment_id)
-    ambient = default_fault_config()
-    ambient_backend = default_swap_backend()
-    set_default_fault_config(faults_from_params(spec.faults))
-    set_default_swap_backend(spec.backend)
-    try:
-        if profiling_dir() is not None:
+    ctx = replace(current_context(), faults=faults_from_params(spec.faults),
+                  swap_backend=spec.backend)
+    with run_context(ctx):
+        if ctx.profile_dir is not None:
             result = profile_runner(runner, spec)
         else:
             result = runner(spec)
-    finally:
-        set_default_fault_config(ambient)
-        set_default_swap_backend(ambient_backend)
     if result.timeline is not None:
         # Gauges close over live VM state: not picklable, not JSON.
         result.timeline.freeze()
     return result
 
 
-def _timed_execute(spec: CellSpec) -> tuple[RunResult, float]:
+def _timed_execute(spec: CellSpec, ctx: RunContext,
+                   ) -> tuple[RunResult, float]:
+    """Run ``spec`` under ``ctx`` (the context a worker process was
+    handed), timing it."""
     started = time.perf_counter()
-    result = execute_cell(spec)
+    with run_context(ctx):
+        result = execute_cell(spec)
     return result, time.perf_counter() - started
 
 
@@ -114,27 +106,14 @@ class SerialExecutor:
                   on_cell: OnCell | None = None,
                   ) -> list[tuple[RunResult, float]]:
         """(result, wall seconds) per spec, in submission order."""
+        ctx = current_context()
         results: list[tuple[RunResult, float]] = []
         for spec in specs:
-            result, wall = _timed_execute(spec)
+            result, wall = _timed_execute(spec, ctx)
             if on_cell is not None:
                 on_cell(spec, result, wall)
             results.append((result, wall))
         return results
-
-
-def _init_pool_worker(paranoid: bool, trace_mode: str | None,
-                      profile_dir: str | None) -> None:
-    """Pool-worker initializer: carry the ambient paranoid, tracing,
-    and profiling flags across the process boundary (fork inherits
-    them, spawn would not)."""
-    from repro.audit import set_paranoid
-    from repro.profiling import set_profiling
-    from repro.trace import set_tracing
-
-    set_paranoid(paranoid)
-    set_tracing(trace_mode)
-    set_profiling(profile_dir)
 
 
 class ParallelExecutor:
@@ -154,19 +133,14 @@ class ParallelExecutor:
                   on_cell: OnCell | None = None,
                   ) -> list[tuple[RunResult, float]]:
         """(result, wall seconds) per spec, in submission order."""
-        from repro.audit import paranoid_enabled
-        from repro.profiling import profiling_dir
-        from repro.trace import tracing_mode
-
         specs = list(specs)
         workers = min(self.jobs, len(specs))
         if workers <= 1:
             return SerialExecutor().run_cells(specs, on_cell)
-        with ProcessPoolExecutor(
-                max_workers=workers, initializer=_init_pool_worker,
-                initargs=(paranoid_enabled(), tracing_mode(),
-                          profiling_dir())) as pool:
-            futures = [pool.submit(_timed_execute, spec) for spec in specs]
+        ctx = current_context()
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            futures = [pool.submit(_timed_execute, spec, ctx)
+                       for spec in specs]
             if on_cell is not None:
                 spec_of = dict(zip(futures, specs))
                 for future in as_completed(futures):
@@ -292,9 +266,8 @@ def run_sweep(sweep: Sweep, *,
         spec.cell_id: (cached.get(spec.cell_id) or fresh[spec.cell_id])
         for spec in sweep.cells
     }
-    from repro.trace import tracing_mode
     cached_traceless = 0
-    if tracing_mode() is not None:
+    if current_context().trace is not None:
         # Tracing is not part of the cell hash, so a traced --resume can
         # hit entries recorded without it; flag them rather than pretend
         # an empty trace was captured.

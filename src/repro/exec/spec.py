@@ -21,9 +21,8 @@ from dataclasses import asdict, dataclass, field
 from typing import Any, Mapping, Sequence
 
 from repro.config import SWAP_BACKEND_KINDS, FaultConfig
+from repro.context import current_context
 from repro.errors import ExperimentError
-from repro.faults.plan import default_fault_config
-from repro.swapback.base import default_swap_backend
 
 #: Bumped whenever CellSpec/RunResult semantics change such that old
 #: persisted results are no longer comparable to fresh runs.  Part of
@@ -52,16 +51,9 @@ def _check_json_value(value: Any, where: str) -> None:
         f"not JSON-serializable")
 
 
-def fault_params(faults: FaultConfig | None = None) -> dict | None:
-    """Serialize a fault plan for embedding into cell specs.
-
-    With no explicit plan, the process-wide ambient default (the CLI's
-    ``--faults`` flag) is captured, so a sweep built under ``--faults``
-    carries the injection plan inside its cells -- worker processes and
-    cache keys both see it.
-    """
-    config = faults if faults is not None else default_fault_config()
-    return None if config is None else asdict(config)
+def fault_params(faults: FaultConfig | None) -> dict | None:
+    """Serialize a fault plan for embedding into a cell spec."""
+    return None if faults is None else asdict(faults)
 
 
 def faults_from_params(params: Mapping | None) -> FaultConfig | None:
@@ -69,18 +61,6 @@ def faults_from_params(params: Mapping | None) -> FaultConfig | None:
     if params is None:
         return None
     return FaultConfig(**dict(params))
-
-
-def _ambient_backend_kind() -> str | None:
-    """Capture the CLI's ``--swap-backend`` choice at sweep-build time.
-
-    Mirrors how :func:`fault_params` folds the ambient fault plan into
-    cells: a sweep built under ``--swap-backend`` carries the backend
-    kind inside every cell, so worker processes rebuild the same device
-    and the cache key distinguishes the runs.
-    """
-    config = default_swap_backend()
-    return None if config is None else config.kind
 
 
 @dataclass(frozen=True)
@@ -100,14 +80,17 @@ class CellSpec:
     seed: int = 1
     params: dict = field(default_factory=dict)
     #: Serialized :class:`FaultConfig` (via :func:`fault_params`), or
-    #: None for a fault-free cell.  Part of the identity: a faulted run
-    #: never shares a cache entry with a clean one.
-    faults: dict | None = None
+    #: None for a fault-free cell.  Defaults to the run context's fault
+    #: plan (the CLI's ``--faults``).  Part of the identity: a faulted
+    #: run never shares a cache entry with a clean one.
+    faults: dict | None = field(
+        default_factory=lambda: fault_params(current_context().faults))
     #: Swap-backend registry kind (``repro.config.SWAP_BACKEND_KINDS``)
-    #: or None for the default disk path.  Defaults to the ambient
-    #: ``--swap-backend`` choice; serialized only when set, so every
-    #: pre-backend cell keeps its exact cache key.
-    backend: str | None = field(default_factory=_ambient_backend_kind)
+    #: or None for the default disk path.  Defaults to the run
+    #: context's ``--swap-backend`` choice; serialized only when set,
+    #: so every pre-backend cell keeps its exact cache key.
+    backend: str | None = field(
+        default_factory=lambda: current_context().swap_backend)
 
     def __post_init__(self) -> None:
         if not self.experiment_id:
@@ -194,8 +177,7 @@ class Sweep:
 
 def sweep_from_configs(experiment_id: str, config_names: Sequence,
                        *, scale: int, seed: int = 1,
-                       params: dict | None = None,
-                       faults: dict | None = None) -> Sweep:
+                       params: dict | None = None) -> Sweep:
     """The common one-cell-per-configuration sweep shape."""
     cells = tuple(
         CellSpec(
@@ -205,7 +187,6 @@ def sweep_from_configs(experiment_id: str, config_names: Sequence,
             config=str(getattr(name, "value", name)),
             seed=seed,
             params=dict(params or {}),
-            faults=faults,
         )
         for name in config_names)
     return Sweep(experiment_id, cells)

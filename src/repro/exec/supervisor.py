@@ -46,6 +46,7 @@ from dataclasses import dataclass
 from multiprocessing.connection import Connection, wait as connection_wait
 from typing import Callable, Sequence
 
+from repro.context import RunContext, current_context
 from repro.errors import ConfigError, InvariantViolation
 from repro.exec.spec import CellSpec, faults_from_params
 from repro.experiments.runner import RunResult
@@ -128,8 +129,7 @@ class SupervisorConfig:
 
 
 def _supervised_worker(conn: Connection, spec_dict: dict, attempt: int,
-                       paranoid: bool, trace_mode: str | None,
-                       profile_dir: str | None) -> None:
+                       ctx: RunContext) -> None:
     """Worker-process body: run one cell attempt, report on the pipe.
 
     Every outcome is reported as a tagged tuple; the parent treats a
@@ -139,16 +139,10 @@ def _supervised_worker(conn: Connection, spec_dict: dict, attempt: int,
     """
     # Deferred: the parent imported this module before forking, but a
     # spawn-start child resolves imports fresh.
-    from repro.audit import set_paranoid
     from repro.exec.executor import _timed_execute
     from repro.faults.plan import should_kill_worker
-    from repro.profiling import set_profiling
-    from repro.trace import set_tracing
 
     try:
-        set_paranoid(paranoid)
-        set_tracing(trace_mode)
-        set_profiling(profile_dir)
         spec = CellSpec.from_dict(spec_dict)
         chaos = faults_from_params(spec.faults)
         if chaos is not None and should_kill_worker(
@@ -157,7 +151,7 @@ def _supervised_worker(conn: Connection, spec_dict: dict, attempt: int,
             # what an OOM kill or segfault looks like from the parent.
             conn.close()
             os._exit(WORKER_KILL_EXIT)
-        result, wall = _timed_execute(spec)
+        result, wall = _timed_execute(spec, ctx)
         conn.send(("ok", result, wall))
     except InvariantViolation as error:
         conn.send(("failed", FailureKind.INVARIANT.value,
@@ -229,17 +223,10 @@ class CellSupervisor:
         on_cell: Callable[[CellSpec, RunResult, float], None] | None = None,
     ) -> list[tuple[RunResult | CellFailure, float]]:
         """(outcome, wall seconds) per spec, in submission order."""
-        from repro.audit import paranoid_enabled
-        from repro.profiling import profiling_dir
-        from repro.trace import tracing_mode
-
         specs = list(specs)
         self.retried_cells = []
         if not specs:
             return []
-        paranoid = paranoid_enabled()
-        trace_mode = tracing_mode()
-        profile_dir = profiling_dir()
         outcomes: dict[int, tuple[RunResult | CellFailure, float]] = {}
         #: Wall seconds burned by failed attempts, per cell index.
         burned: dict[int, float] = {}
@@ -250,8 +237,7 @@ class CellSupervisor:
         try:
             while queue or running:
                 now = time.monotonic()
-                self._launch_ready(queue, running, now, paranoid, trace_mode,
-                                   profile_dir)
+                self._launch_ready(queue, running, now)
                 self._wait(queue, running, now)
                 now = time.monotonic()
                 for worker in list(running):
@@ -275,9 +261,7 @@ class CellSupervisor:
     # ------------------------------------------------------------------
 
     def _launch_ready(self, queue: list[_Pending], running: list[_Running],
-                      now: float, paranoid: bool,
-                      trace_mode: str | None,
-                      profile_dir: str | None) -> None:
+                      now: float) -> None:
         """Start waiting cells, oldest first, up to the jobs cap.
 
         A cell sitting out its backoff does not block later cells from
@@ -293,7 +277,7 @@ class CellSupervisor:
             process = mp.Process(
                 target=_supervised_worker,
                 args=(child_conn, pending.spec.to_dict(), pending.attempt,
-                      paranoid, trace_mode, profile_dir),
+                      current_context()),
                 daemon=True)
             process.start()
             child_conn.close()  # the worker holds the only write end

@@ -23,7 +23,7 @@ from typing import Mapping, Sequence
 
 from repro.config import DiskConfig, HostConfig, MachineConfig, VSwapperConfig
 from repro.exec.executor import finish_figure, run_sweep
-from repro.exec.spec import CellSpec, Sweep, fault_params
+from repro.exec.spec import CellSpec, Sweep
 from repro.experiments.runner import (
     ConfigName,
     ConfigSpec,
@@ -66,7 +66,6 @@ def _sysbench_experiment(scale: int,
 
 def build_dirty_bit_sweep(*, scale: int = 1) -> Sweep:
     """Declare the dirty-bit pair: 2013 hardware vs Haswell."""
-    faults = fault_params()
     cells = tuple(
         CellSpec(
             experiment_id="ablation-dirty-bit",
@@ -74,7 +73,6 @@ def build_dirty_bit_sweep(*, scale: int = 1) -> Sweep:
             scale=scale,
             config=ConfigName.BASELINE.value,
             params={"hardware_dirty_bit": hw_bit, "label": label},
-            faults=faults,
         )
         for label, hw_bit in DIRTY_BIT_CASES)
     return Sweep("ablation-dirty-bit", cells)
@@ -130,7 +128,6 @@ def run_dirty_bit_ablation(*, scale: int = 1, executor=None, store=None,
 
 def build_ssd_sweep(*, scale: int = 1) -> Sweep:
     """Declare the 2x2 grid: disk technology x configuration."""
-    faults = fault_params()
     cells = tuple(
         CellSpec(
             experiment_id="ablation-ssd",
@@ -138,7 +135,6 @@ def build_ssd_sweep(*, scale: int = 1) -> Sweep:
             scale=scale,
             config=name.value,
             params={"disk_kind": disk_kind},
-            faults=faults,
         )
         for disk_kind in SSD_DISK_KINDS
         for name in SSD_CONFIGS)
@@ -202,7 +198,6 @@ def build_preventer_sweep(
     caps: Sequence[int] = DEFAULT_PREVENTER_CAPS,
 ) -> Sweep:
     """Declare the window x cap sensitivity grid."""
-    faults = fault_params()
     cells = tuple(
         CellSpec(
             experiment_id="ablation-preventer",
@@ -210,7 +205,6 @@ def build_preventer_sweep(
             scale=scale,
             config=ConfigName.VSWAPPER.value,
             params={"window": window, "cap": cap},
-            faults=faults,
         )
         for window in windows
         for cap in caps)
@@ -278,7 +272,6 @@ def build_cluster_sweep(
     clusters: Sequence[int] = DEFAULT_CLUSTERS,
 ) -> Sweep:
     """Declare one cell per swap-readahead cluster size."""
-    faults = fault_params()
     cells = tuple(
         CellSpec(
             experiment_id="ablation-cluster",
@@ -286,7 +279,6 @@ def build_cluster_sweep(
             scale=scale,
             config=ConfigName.BASELINE.value,
             params={"cluster": cluster},
-            faults=faults,
         )
         for cluster in clusters)
     return Sweep("ablation-cluster", cells)

@@ -32,7 +32,7 @@ from repro.config import (
     PLACEMENT_POLICIES,
 )
 from repro.exec.executor import finish_figure, run_sweep
-from repro.exec.spec import CellSpec, Sweep, fault_params
+from repro.exec.spec import CellSpec, Sweep
 from repro.experiments.dynamic import deploy_fleet, run_fleet
 from repro.experiments.runner import (
     ConfigName,
@@ -126,7 +126,6 @@ def _fleet_cells(config_names: Sequence[ConfigName],
                  fleet_sizes: Sequence[int], *, scale: int,
                  num_hosts: int = 4) -> tuple[CellSpec, ...]:
     """Declare the grid plus one shared singleton cell per config."""
-    faults = fault_params()
 
     def cell(name: ConfigName, cell_id: str, *, n: int, hosts: int,
              policy: str) -> CellSpec:
@@ -140,7 +139,6 @@ def _fleet_cells(config_names: Sequence[ConfigName],
                 "num_hosts": hosts,
                 "policy": policy,
             },
-            faults=faults,
         )
 
     cells = [

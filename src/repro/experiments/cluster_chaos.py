@@ -201,16 +201,10 @@ def _chaos_cells(schedules: Sequence[str], policies: Sequence[str],
     """One cell per (schedule, policy, fleet size), vswapper config.
 
     The cells are *hermetic*: each carries exactly its schedule's fault
-    plan (the ``none`` schedule carries none), never the ambient CLI
+    plan (the ``none`` schedule carries none), never the run context's
     plan -- the fault-free twin must stay fault-free or the survivor
     cross-check would compare against a polluted baseline.
     """
-    def cell_faults(schedule: str) -> dict | None:
-        cfg = schedule_fault_config(schedule, scale=scale)
-        # fault_params(None) would capture the ambient default; the
-        # "none" twin must bypass it.
-        return None if cfg is None else fault_params(cfg)
-
     return tuple(
         CellSpec(
             experiment_id="cluster-chaos",
@@ -223,7 +217,8 @@ def _chaos_cells(schedules: Sequence[str], policies: Sequence[str],
                 "num_hosts": num_hosts,
                 "policy": policy,
             },
-            faults=cell_faults(schedule),
+            faults=fault_params(
+                schedule_fault_config(schedule, scale=scale)),
         )
         for schedule in schedules
         for policy in policies
@@ -246,7 +241,7 @@ def cluster_chaos_cell(spec: CellSpec) -> RunResult:
     """Run one chaos cell and fold it into a RunResult.
 
     The cell's own fault schedule is rebuilt from the spec (not the
-    ambient default), so a cached cell is a pure function of its spec.
+    run context's plan), so a cached cell is a pure function of its spec.
     Placement failures during *initial* deployment mean the fleet never
     fit and the cell reports crashed; losses during the run are data,
     not errors.

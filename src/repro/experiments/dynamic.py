@@ -29,7 +29,7 @@ from repro.cluster import Cluster
 from repro.config import HostConfig, MachineConfig, VmConfig
 from repro.driver import VmDriver
 from repro.exec.executor import finish_figure, run_sweep
-from repro.exec.spec import CellSpec, Sweep, fault_params
+from repro.exec.spec import CellSpec, Sweep
 from repro.experiments.runner import (
     ConfigName,
     ConfigSpec,
@@ -160,7 +160,6 @@ def _dynamic_cells(config_names: Sequence[ConfigName],
                    stagger_seconds: float = 10.0,
                    host_mib: float = 8192,
                    guest_mib: float = 2048) -> tuple[CellSpec, ...]:
-    faults = fault_params()
     return tuple(
         CellSpec(
             experiment_id="dynamic",
@@ -173,7 +172,6 @@ def _dynamic_cells(config_names: Sequence[ConfigName],
                 "host_mib": host_mib,
                 "guest_mib": guest_mib,
             },
-            faults=faults,
         )
         for name in config_names
         for n in guest_counts)

@@ -21,7 +21,7 @@ from typing import Mapping, Sequence
 
 from repro.config import MachineConfig
 from repro.exec.executor import finish_figure, run_sweep
-from repro.exec.spec import CellSpec, Sweep, fault_params
+from repro.exec.spec import CellSpec, Sweep
 from repro.experiments.runner import (
     ConfigName,
     FigureResult,
@@ -52,7 +52,6 @@ def build_fig05_fig11_sweep(
     config_names: Sequence[ConfigName] = FIG05_CONFIGS,
 ) -> Sweep:
     """Declare the grid: configuration x actual-memory grant."""
-    faults = fault_params()
     cells = tuple(
         CellSpec(
             experiment_id="fig05+fig11",
@@ -60,7 +59,6 @@ def build_fig05_fig11_sweep(
             scale=scale,
             config=spec.name.value,
             params={"actual_mib": actual_mib},
-            faults=faults,
         )
         for spec in standard_configs(config_names)
         for actual_mib in memory_sweep_mib)

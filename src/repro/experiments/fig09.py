@@ -22,7 +22,7 @@ from typing import Mapping, Sequence
 
 from repro.config import MachineConfig
 from repro.exec.executor import finish_figure, run_sweep
-from repro.exec.spec import CellSpec, Sweep, fault_params, sweep_from_configs
+from repro.exec.spec import CellSpec, Sweep, sweep_from_configs
 from repro.experiments.runner import (
     ConfigName,
     FigureResult,
@@ -57,14 +57,14 @@ def build_fig09_sweep(*, scale: int = 1, iterations: int = 8,
     """Declare Figure 9's grid: one cell per configuration."""
     return sweep_from_configs(
         "fig09", config_names, scale=scale,
-        params={"iterations": iterations}, faults=fault_params())
+        params={"iterations": iterations})
 
 
 def build_fig03_sweep(*, scale: int = 1) -> Sweep:
     """Declare Figure 3's grid: four configs, one iteration each."""
     return sweep_from_configs(
         "fig09", FIG03_CONFIGS, scale=scale,
-        params={"iterations": 1}, faults=fault_params())
+        params={"iterations": 1})
 
 
 def fig09_cell(spec: CellSpec) -> RunResult:

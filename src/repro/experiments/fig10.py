@@ -14,7 +14,7 @@ from typing import Mapping
 
 from repro.config import MachineConfig
 from repro.exec.executor import finish_figure, run_sweep
-from repro.exec.spec import CellSpec, Sweep, fault_params, sweep_from_configs
+from repro.exec.spec import CellSpec, Sweep, sweep_from_configs
 from repro.experiments.runner import (
     ConfigName,
     FigureResult,
@@ -38,7 +38,7 @@ FIG10_CONFIGS = (
 def build_fig10_sweep(*, scale: int = 1) -> Sweep:
     """Declare Figure 10's grid: one cell per configuration."""
     return sweep_from_configs(
-        "fig10", FIG10_CONFIGS, scale=scale, faults=fault_params())
+        "fig10", FIG10_CONFIGS, scale=scale)
 
 
 def fig10_cell(spec: CellSpec) -> RunResult:

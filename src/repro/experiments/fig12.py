@@ -16,7 +16,7 @@ from typing import Mapping, Sequence
 
 from repro.config import MachineConfig
 from repro.exec.executor import finish_figure, run_sweep
-from repro.exec.spec import CellSpec, Sweep, fault_params
+from repro.exec.spec import CellSpec, Sweep
 from repro.experiments.runner import (
     ConfigName,
     FigureResult,
@@ -57,7 +57,6 @@ def build_fig12_sweep(
     config_names: Sequence[ConfigName] = FIG12_CONFIGS,
 ) -> Sweep:
     """Declare the grid: configuration x actual-memory grant."""
-    faults = fault_params()
     cells = tuple(
         CellSpec(
             experiment_id="fig12",
@@ -65,7 +64,6 @@ def build_fig12_sweep(
             scale=scale,
             config=spec.name.value,
             params={"actual_mib": actual_mib},
-            faults=faults,
         )
         for spec in standard_configs(config_names)
         for actual_mib in memory_sweep_mib)

@@ -21,7 +21,7 @@ from typing import Mapping, Sequence
 
 from repro.config import MachineConfig
 from repro.exec.executor import finish_figure, run_sweep
-from repro.exec.spec import CellSpec, Sweep, fault_params
+from repro.exec.spec import CellSpec, Sweep
 from repro.experiments.runner import (
     ConfigName,
     FigureResult,
@@ -75,7 +75,6 @@ def build_fig13_sweep(
     config_names: Sequence[ConfigName] = FIG13_CONFIGS,
 ) -> Sweep:
     """Declare the grid: configuration x actual-memory grant."""
-    faults = fault_params()
     cells = tuple(
         CellSpec(
             experiment_id="fig13",
@@ -83,7 +82,6 @@ def build_fig13_sweep(
             scale=scale,
             config=spec.name.value,
             params={"actual_mib": actual_mib},
-            faults=faults,
         )
         for spec in standard_configs(config_names)
         for actual_mib in memory_sweep_mib)
@@ -150,7 +148,6 @@ def build_fig15_sweep(*, scale: int = 1, actual_mib: float = 320,
         config=ConfigName.VSWAPPER.value,
         params={"actual_mib": actual_mib,
                 "sample_interval": sample_interval},
-        faults=fault_params(),
     )
     return Sweep("fig15", (cell,))
 

@@ -15,7 +15,7 @@ from typing import Mapping
 
 from repro.core.migration import MigrationPlan, MigrationPlanner
 from repro.exec.executor import finish_figure, run_sweep
-from repro.exec.spec import CellSpec, Sweep, fault_params
+from repro.exec.spec import CellSpec, Sweep
 from repro.experiments.runner import (
     ConfigName,
     FigureResult,
@@ -44,14 +44,12 @@ _PLAN_COUNTERS = {
 
 def build_migration_sweep(*, scale: int = 1) -> Sweep:
     """Declare the migration study: one cell per source config."""
-    faults = fault_params()
     cells = tuple(
         CellSpec(
             experiment_id="migration-study",
             cell_id=name.value,
             scale=scale,
             config=name.value,
-            faults=faults,
         )
         for name in MIGRATION_CONFIGS)
     return Sweep("migration-study", cells)

@@ -18,7 +18,7 @@ from typing import Mapping
 
 from repro.config import MachineConfig
 from repro.exec.executor import finish_figure, run_sweep
-from repro.exec.spec import CellSpec, Sweep, fault_params
+from repro.exec.spec import CellSpec, Sweep
 from repro.experiments.runner import (
     ConfigName,
     FigureResult,
@@ -39,7 +39,6 @@ SEC53_CONFIGS = (ConfigName.BASELINE, ConfigName.VSWAPPER)
 
 def build_sec53_sweep(*, scale: int = 1) -> Sweep:
     """Declare the 2x2 grid: pressure level x configuration."""
-    faults = fault_params()
     cells = tuple(
         CellSpec(
             experiment_id="sec53",
@@ -47,7 +46,6 @@ def build_sec53_sweep(*, scale: int = 1) -> Sweep:
             scale=scale,
             config=name.value,
             params={"actual_mib": actual_mib, "pressure": pressure},
-            faults=faults,
         )
         for pressure, actual_mib in SEC53_PRESSURES
         for name in SEC53_CONFIGS)

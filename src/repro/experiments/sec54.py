@@ -17,7 +17,7 @@ from typing import Mapping
 
 from repro.config import GuestConfig, GuestOsKind, MachineConfig
 from repro.exec.executor import finish_figure, run_sweep
-from repro.exec.spec import CellSpec, Sweep, fault_params
+from repro.exec.spec import CellSpec, Sweep
 from repro.experiments.runner import (
     ConfigName,
     FigureResult,
@@ -52,7 +52,6 @@ def windows_guest_config(guest_mib: float, scale: int) -> GuestConfig:
 
 def build_sec54_sweep(*, scale: int = 1) -> Sweep:
     """Declare the 2x2 grid: workload x configuration."""
-    faults = fault_params()
     cells = tuple(
         CellSpec(
             experiment_id="sec54",
@@ -60,7 +59,6 @@ def build_sec54_sweep(*, scale: int = 1) -> Sweep:
             scale=scale,
             config=name.value,
             params={"workload": workload, "label": label},
-            faults=faults,
         )
         for label, name in SEC54_CASES
         for workload in SEC54_WORKLOADS)

@@ -24,7 +24,7 @@ from typing import Mapping, Sequence
 
 from repro.config import MachineConfig
 from repro.exec.executor import finish_figure, run_sweep
-from repro.exec.spec import CellSpec, Sweep, fault_params
+from repro.exec.spec import CellSpec, Sweep
 from repro.experiments.runner import (
     ConfigName,
     FigureResult,
@@ -56,7 +56,6 @@ def build_swaptier_sweep(*, scale: int = 1,
                          backends: Sequence[str] = SWAPTIER_BACKENDS,
                          ) -> Sweep:
     """Declare the backend x configuration grid."""
-    faults = fault_params()
     cells = tuple(
         CellSpec(
             experiment_id="swaptier",
@@ -64,7 +63,6 @@ def build_swaptier_sweep(*, scale: int = 1,
             scale=scale,
             config=name.value,
             params={"swap_backend": backend},
-            faults=faults,
             # backend=None keeps the disk row on the exact pre-backend
             # cache identity (and the bit-identical code path).
             backend=None if backend == "disk" else backend,
@@ -77,10 +75,11 @@ def build_swaptier_sweep(*, scale: int = 1,
 def swaptier_cell(spec: CellSpec) -> RunResult:
     """Run sysbench x4 on one (swap backend, config) cell.
 
-    The backend itself arrives ambiently: ``execute_cell`` installs
-    ``spec.backend`` before calling this runner, and the host picks it
-    up when the node config leaves ``swap_backend`` unset -- the same
-    route the CLI's ``--swap-backend`` flag takes.
+    The backend itself arrives through the run context:
+    ``execute_cell`` installs ``spec.backend`` before calling this
+    runner, and the host picks it up when the node config leaves
+    ``swap_backend`` unset -- the same route the CLI's
+    ``--swap-backend`` flag takes.
     """
     scale = spec.scale
     experiment = SingleVmExperiment(

@@ -25,7 +25,7 @@ from repro.config import (
     MachineConfig,
 )
 from repro.exec.executor import finish_figure, run_sweep
-from repro.exec.spec import CellSpec, Sweep, fault_params
+from repro.exec.spec import CellSpec, Sweep
 from repro.experiments.runner import (
     ConfigName,
     FigureResult,
@@ -60,7 +60,6 @@ def vmware_machine_config(scale: int) -> MachineConfig:
 
 def build_table2_sweep(*, scale: int = 1) -> Sweep:
     """Declare Table 2's two cells: balloon enabled vs disabled."""
-    faults = fault_params()
     cells = tuple(
         CellSpec(
             experiment_id="table2",
@@ -68,7 +67,6 @@ def build_table2_sweep(*, scale: int = 1) -> Sweep:
             scale=scale,
             config=name.value,
             params={"label": label},
-            faults=faults,
         )
         for label, name in TABLE2_CASES)
     return Sweep("table2", cells)

@@ -18,17 +18,10 @@ schedule and chaos runs are bit-for-bit repeatable.
 """
 
 from repro.faults.breaker import CircuitBreaker
-from repro.faults.plan import (
-    FaultPlan,
-    default_fault_config,
-    set_default_fault_config,
-    should_kill_worker,
-)
+from repro.faults.plan import FaultPlan, should_kill_worker
 
 __all__ = [
     "CircuitBreaker",
     "FaultPlan",
-    "default_fault_config",
-    "set_default_fault_config",
     "should_kill_worker",
 ]

@@ -14,26 +14,16 @@ import enum
 from dataclasses import dataclass
 
 from repro.config import FaultConfig
+from repro.context import current_context
 from repro.errors import ConfigError
 from repro.faults.breaker import CircuitBreaker
 from repro.metrics.counters import Counters
 from repro.sim.rng import DeterministicRng
 
-#: Process-wide fallback consulted by Machine when a MachineConfig
-#: carries no FaultConfig; set by the CLI's ``--faults`` flag so
-#: experiments that build their own MachineConfig still get injection.
-_DEFAULT_FAULT_CONFIG: FaultConfig | None = None
-
-
-def set_default_fault_config(config: FaultConfig | None) -> None:
-    """Install (or clear) the process-wide default fault plan."""
-    global _DEFAULT_FAULT_CONFIG
-    _DEFAULT_FAULT_CONFIG = config
-
-
 def default_fault_config() -> FaultConfig | None:
-    """The process-wide default fault plan, if any."""
-    return _DEFAULT_FAULT_CONFIG
+    """The run context's fault plan: what a Machine or Cluster whose
+    config carries no FaultConfig injects (the CLI's ``--faults``)."""
+    return current_context().faults
 
 
 def should_kill_worker(config: FaultConfig, cell_id: str, seed: int,

@@ -9,13 +9,11 @@ hot-function report (cumulative time, internal time, call counts)
 named exactly like the cell's store record, so a profile can always be
 matched to the result it explains.
 
-Like the fault layer's default config and the audit layer's paranoid
-flag, the profile destination is ambient process state: the CLI sets
-it once and :func:`~repro.exec.executor.execute_cell` checks it per
-cell.  The executors carry it across the process boundary explicitly
-(pool initargs / supervised-worker args), exactly as they do for the
-paranoid and tracing flags, so ``--profile --jobs N`` profiles every
-worker.
+The profile destination is the run context's ``profile_dir`` field
+(:class:`~repro.context.RunContext`):
+:func:`~repro.exec.executor.execute_cell` checks it per cell, and the
+executors ship the context to their workers, so ``--profile --jobs N``
+profiles every worker.
 
 Profiling is observational only: the runner, its RNG draws, and the
 returned :class:`~repro.experiments.runner.RunResult` are untouched,
@@ -30,25 +28,15 @@ import io
 import pstats
 from pathlib import Path
 
-#: Process-wide profile output directory (``None`` = profiling off).
-_PROFILE_DIR: str | None = None
+from repro.context import current_context
 
 #: Hot functions listed under each sort order of the report.
 REPORT_LINES = 30
 
 
-def set_profiling(directory: str | Path | None) -> str | None:
-    """Set the process-wide profile directory; returns the previous
-    value (``None`` disables profiling)."""
-    global _PROFILE_DIR
-    previous = _PROFILE_DIR
-    _PROFILE_DIR = None if directory is None else str(directory)
-    return previous
-
-
 def profiling_dir() -> str | None:
     """Where cell profiles are written, or ``None`` when off."""
-    return _PROFILE_DIR
+    return current_context().profile_dir
 
 
 def profile_report_path(spec) -> Path:
@@ -61,9 +49,10 @@ def profile_report_path(spec) -> Path:
     """
     from repro.exec.store import _sanitize, cell_key
 
-    if _PROFILE_DIR is None:
+    directory = profiling_dir()
+    if directory is None:
         raise RuntimeError("profiling is not enabled")
-    return (Path(_PROFILE_DIR) / _sanitize(spec.experiment_id)
+    return (Path(directory) / _sanitize(spec.experiment_id)
             / f"{_sanitize(spec.cell_id)}-{cell_key(spec)[:12]}.txt")
 
 
@@ -110,5 +99,4 @@ __all__ = [
     "profile_runner",
     "profiling_dir",
     "render_report",
-    "set_profiling",
 ]

@@ -10,12 +10,7 @@ See DESIGN.md section 14 for the interface contract, the tiering
 policy rules, and the compressed-capacity unit conventions.
 """
 
-from repro.swapback.base import (
-    SwapBackend,
-    SwapBackendStats,
-    default_swap_backend,
-    set_default_swap_backend,
-)
+from repro.swapback.base import SwapBackend, SwapBackendStats
 from repro.swapback.devices import FlashBackend, RemoteBackend
 from repro.swapback.disk import DiskSwapBackend
 from repro.swapback.factory import build_swap_backend
@@ -31,6 +26,4 @@ __all__ = [
     "SwapBackendStats",
     "TieredBackend",
     "build_swap_backend",
-    "default_swap_backend",
-    "set_default_swap_backend",
 ]

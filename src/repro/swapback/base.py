@@ -1,4 +1,4 @@
-"""The swap-backend interface and its ambient default.
+"""The swap-backend interface.
 
 A :class:`SwapBackend` is *where swapped pages go*: the device (or
 memory tier) behind the host's swap-slot address space.  The slot
@@ -21,11 +21,10 @@ The contract, in the hypervisor's own call order:
   capacity-tracking backends care; ``tracks_slots`` is False for
   slot-oblivious devices so the reclaim hot path can skip the call.
 
-Ambient default: like the fault layer's ``set_default_fault_config``,
-``set_default_swap_backend`` installs a process-wide backend choice
-that hosts consult when their node config leaves ``swap_backend``
-unset.  The executor installs it around each cell from the cell spec,
-so pool workers rebuild the same backend a serial run would.
+Hosts whose node config leaves ``swap_backend`` unset use the run
+context's backend kind (:class:`~repro.context.RunContext`), which the
+executor narrows to each cell's ``CellSpec.backend``, so pool workers
+rebuild the same backend a serial run would.
 """
 
 from __future__ import annotations
@@ -33,6 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.config import SwapBackendConfig, swap_backend_config
+from repro.context import current_context
 from repro.trace.collector import NULL_TRACE
 
 
@@ -147,26 +147,7 @@ class SwapBackend:
         return {}
 
 
-# ----------------------------------------------------------------------
-# ambient default (the executor/CLI-facing process-wide switch)
-# ----------------------------------------------------------------------
-
-_DEFAULT_BACKEND: SwapBackendConfig | None = None
-
-
-def set_default_swap_backend(
-        backend: SwapBackendConfig | str | None) -> None:
-    """Install the process-wide default swap backend.
-
-    Accepts a config, a registry kind string, or None (= route swap
-    through the host disk exactly as before the backend layer).
-    """
-    global _DEFAULT_BACKEND
-    if isinstance(backend, str):
-        backend = swap_backend_config(backend)
-    _DEFAULT_BACKEND = backend
-
-
 def default_swap_backend() -> SwapBackendConfig | None:
-    """The ambient backend config hosts fall back to (None = disk)."""
-    return _DEFAULT_BACKEND
+    """The run context's backend config hosts fall back to (None = disk)."""
+    kind = current_context().swap_backend
+    return None if kind is None else swap_backend_config(kind)

@@ -8,8 +8,8 @@ The subsystem has four parts:
   no-op :data:`~repro.trace.collector.NULL_TRACE`; hot paths guard each
   emit with ``if trace.enabled:`` so disabled runs pay essentially
   nothing.  A :class:`~repro.machine.Machine` installs a live
-  :class:`~repro.trace.collector.TraceCollector` when the ambient mode
-  says so.
+  :class:`~repro.trace.collector.TraceCollector` when the run
+  context's tracing mode says so.
 * :mod:`repro.trace.events` -- the typed data model
   (:class:`TraceEvent`, :class:`Span`, frozen :class:`TraceData`)
   that rides worker pipes and the result store.
@@ -19,38 +19,20 @@ The subsystem has four parts:
 * :mod:`repro.trace.export` / :mod:`repro.trace.tools` -- the Chrome
   trace-event exporter and the store-backed ``trace`` CLI tooling.
 
-Like the fault layer's default config and the audit layer's paranoid
-flag, the tracing *mode* is ambient process-wide state: the CLI sets it
-once (``run --trace[=sampled]``), executors re-install it inside worker
-processes, and every machine built afterwards records.
+The tracing *mode* is the run context's ``trace`` field
+(:class:`~repro.context.RunContext`, set by ``run --trace[=sampled]``):
+every machine built under it records, in worker processes too.
 """
 
-from repro.errors import ConfigError
+from repro.context import TRACE_MODES, current_context
 from repro.trace.analyzer import ROOT_CAUSES, TraceAnalyzer
 from repro.trace.collector import NULL_TRACE, TraceCollector
 from repro.trace.events import TRACE_SCHEMA_VERSION, Span, TraceData, TraceEvent
 
-#: Ambient tracing mode: None (off), ``"full"``, or ``"sampled"``.
-_TRACE_MODE: str | None = None
-
-#: Values :func:`set_tracing` accepts.
-TRACE_MODES = (None, "full", "sampled")
-
-
-def set_tracing(mode: str | None) -> str | None:
-    """Set the process-wide tracing mode; returns the previous value."""
-    global _TRACE_MODE
-    if mode not in TRACE_MODES:
-        raise ConfigError(
-            f"unknown trace mode {mode!r}; expected one of {TRACE_MODES}")
-    previous = _TRACE_MODE
-    _TRACE_MODE = mode
-    return previous
-
 
 def tracing_mode() -> str | None:
     """The mode machines should build their collectors with (None = off)."""
-    return _TRACE_MODE
+    return current_context().trace
 
 
 __all__ = [
@@ -63,6 +45,5 @@ __all__ = [
     "TraceCollector",
     "TraceData",
     "TraceEvent",
-    "set_tracing",
     "tracing_mode",
 ]

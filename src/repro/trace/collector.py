@@ -6,13 +6,13 @@ Two implementations share one interface:
   layer starts with.  ``enabled`` is False, every method is a no-op,
   and hot paths guard their emits with ``if trace.enabled:`` so a
   disabled run pays one attribute read per site, nothing more.
-* :class:`TraceCollector` -- installed by the machine when the ambient
-  tracing mode (:func:`repro.trace.set_tracing`) is on.  Events land in
-  a ``deque`` ring capped at ``capacity`` (old events are evicted and
-  counted, never an error), and ``"sampled"`` mode keeps only every
-  ``sample_every``-th top-level span -- events inside a sampled-out
-  span are suppressed wholesale, while events outside any span (disk
-  completions from earlier requests, engine marks) always record.
+* :class:`TraceCollector` -- installed by the machine when the run
+  context's tracing mode is on.  Events land in a ``deque`` ring
+  capped at ``capacity`` (old events are evicted and counted, never an
+  error), and ``"sampled"`` mode keeps only every ``sample_every``-th
+  top-level span -- events inside a sampled-out span are suppressed
+  wholesale, while events outside any span (disk completions from
+  earlier requests, engine marks) always record.
 
 The collector mutates nothing in the simulation and only *reads* the
 clock, so a traced run is bit-identical to an untraced one -- a

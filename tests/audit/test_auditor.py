@@ -10,8 +10,9 @@ the auditor refuses it.
 
 import pytest
 
-from repro.audit import InvariantAuditor, paranoid_enabled, set_paranoid
+from repro.audit import InvariantAuditor
 from repro.config import VSwapperConfig
+from repro.context import RunContext, run_context
 from repro.driver import VmDriver
 from repro.errors import InvariantViolation, SimulationError
 from repro.machine import Machine
@@ -19,16 +20,9 @@ from repro.workloads.sysbench import SysbenchFileRead
 from tests.conftest import small_machine_config, small_vm_config
 
 
-@pytest.fixture(autouse=True)
-def _restore_paranoid():
-    previous = paranoid_enabled()
-    yield
-    set_paranoid(previous)
-
-
 def _paranoid_machine() -> Machine:
-    set_paranoid(True)
-    return Machine(small_machine_config())
+    with run_context(RunContext(paranoid=True)):
+        return Machine(small_machine_config())
 
 
 def _pressure_run(machine: Machine, *, vswapper=None) -> "object":
@@ -42,13 +36,6 @@ def _pressure_run(machine: Machine, *, vswapper=None) -> "object":
     machine.run()
     assert driver.done and not driver.crashed
     return vm
-
-
-def test_set_paranoid_returns_previous_value():
-    assert set_paranoid(True) is False
-    assert paranoid_enabled()
-    assert set_paranoid(False) is True
-    assert not paranoid_enabled()
 
 
 def test_machine_only_audits_when_paranoid(machine):

@@ -118,9 +118,8 @@ def test_io_pinned_vm_never_migrates():
 
 
 def test_migration_emits_trace_and_audits_cleanly():
-    from repro.audit import set_paranoid
-    set_paranoid(True)
-    try:
+    from repro.context import RunContext, run_context
+    with run_context(RunContext(paranoid=True)):
         cluster = two_node_cluster()
         assert cluster.auditor is not None
         vm = pinned_vm(cluster)
@@ -128,5 +127,3 @@ def test_migration_emits_trace_and_audits_cleanly():
         records = cluster.pressure_tick()
         assert len(records) == 1
         assert cluster.auditor.audits > 0
-    finally:
-        set_paranoid(False)

@@ -10,7 +10,6 @@ untouched hosts stay bit-identical to an uninjected run.
 
 import pytest
 
-from repro.audit import set_paranoid
 from repro.cluster import Cluster, choose_host, migrate_vm
 from repro.cluster.host import HostState
 from repro.cluster.recovery import EvacuationPolicy
@@ -20,6 +19,7 @@ from repro.config import (
     FaultConfig,
     VSwapperConfig,
 )
+from repro.context import RunContext, run_context
 from repro.errors import PlacementError
 from tests.cluster.conftest import fill_to_limit, small_node
 from tests.conftest import small_vm_config
@@ -327,8 +327,7 @@ def test_survivors_on_untouched_hosts_are_bit_identical():
 # ----------------------------------------------------------------------
 
 def test_paranoid_invariants_hold_through_crash_and_evacuation():
-    set_paranoid(True)
-    try:
+    with run_context(RunContext(paranoid=True)):
         cluster = build_cluster(four_nodes(overcommit_ratio=0.125))
         vms = [cluster.create_vm(small_vm_config(
             name=f"vm{i}", vswapper=VSwapperConfig.full(),
@@ -337,8 +336,6 @@ def test_paranoid_invariants_hold_through_crash_and_evacuation():
             fill_to_limit(vm, extra=64)
         cluster._fail_host(cluster.hosts[0])
         cluster.engine.run()
-    finally:
-        set_paranoid(False)
 
     assert cluster.auditor is not None
     assert cluster.auditor.audits > 0
@@ -350,13 +347,10 @@ def test_paranoid_catches_a_silent_vm_drop():
     evacuating nor recorded lost must blow up the auditor."""
     from repro.errors import InvariantViolation
 
-    set_paranoid(True)
-    try:
+    with run_context(RunContext(paranoid=True)):
         cluster = build_cluster(four_nodes())
         vm = cluster.create_vm(small_vm_config())
         vm.host.release_vm(vm)  # drop it on the floor, bypassing recovery
         vm.host = None
         with pytest.raises(InvariantViolation):
             cluster.auditor.check("test")
-    finally:
-        set_paranoid(False)

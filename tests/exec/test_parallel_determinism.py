@@ -9,9 +9,9 @@ process pool, with and without the chaos fault plan, and requires the
 import pytest
 
 from repro.config import FaultConfig
+from repro.context import RunContext, run_context
 from repro.exec.executor import ParallelExecutor, SerialExecutor, run_sweep
 from repro.experiments.fig09 import build_fig09_sweep
-from repro.faults.plan import set_default_fault_config
 
 SCALE = 8
 
@@ -19,15 +19,12 @@ SCALE = 8
 @pytest.mark.parametrize("fault_config", [None, FaultConfig.chaos()],
                          ids=["clean", "faults"])
 def test_parallel_results_bit_identical_to_serial(fault_config):
-    set_default_fault_config(fault_config)
-    try:
+    with run_context(RunContext(faults=fault_config)):
         sweep = build_fig09_sweep(scale=SCALE, iterations=2)
-    finally:
-        set_default_fault_config(None)
 
     # The fault plan was captured into the cells at build time: the
-    # executors below run with NO ambient config installed, proving a
-    # worker process needs nothing but the spec.
+    # executors below run under the default context, proving a worker
+    # process needs nothing but the spec.
     serial = run_sweep(sweep, executor=SerialExecutor())
     parallel = run_sweep(sweep, executor=ParallelExecutor(4))
 

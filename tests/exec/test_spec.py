@@ -3,6 +3,7 @@
 import pytest
 
 from repro.config import FaultConfig
+from repro.context import RunContext, run_context
 from repro.errors import ExperimentError
 from repro.exec.spec import (
     CellSpec,
@@ -12,7 +13,6 @@ from repro.exec.spec import (
     sweep_from_configs,
 )
 from repro.experiments.runner import ConfigName
-from repro.faults.plan import set_default_fault_config
 
 
 def _spec(**overrides) -> CellSpec:
@@ -88,18 +88,18 @@ def test_sweep_from_configs_one_cell_per_config():
 def test_fault_params_round_trip():
     chaos = FaultConfig.chaos()
     assert faults_from_params(fault_params(chaos)) == chaos
-    assert fault_params(None) is None or isinstance(fault_params(None), dict)
+    assert fault_params(None) is None
     assert faults_from_params(None) is None
 
 
 def test_fault_params_captures_ambient_default():
+    """A cell built under a context captures the context's fault plan;
+    an explicit ``faults=None`` still wins."""
     chaos = FaultConfig.chaos()
-    set_default_fault_config(chaos)
-    try:
-        assert faults_from_params(fault_params()) == chaos
-    finally:
-        set_default_fault_config(None)
-    assert fault_params() is None
+    with run_context(RunContext(faults=chaos)):
+        assert faults_from_params(_spec().faults) == chaos
+        assert _spec(faults=None).faults is None
+    assert _spec().faults is None
 
 
 def test_faults_change_the_cell_identity():

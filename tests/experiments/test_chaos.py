@@ -75,15 +75,12 @@ def test_figure_harness_tolerates_crashed_cells():
     """A fault-induced crash mid-iteration must become a marker row in
     the figure table, not an IndexError or unbalanced-marks error."""
     from repro.experiments.fig09 import run_fig09
-    from repro.faults.plan import set_default_fault_config
+    from repro.context import RunContext, run_context
 
     always_corrupt = FaultConfig(
         enabled=True, swap_slot_corruption_rate=1.0)
-    set_default_fault_config(always_corrupt)
-    try:
+    with run_context(RunContext(faults=always_corrupt)):
         result = run_fig09(scale=SCALE, iterations=2)
-    finally:
-        set_default_fault_config(None)
     baseline = result.series[ConfigName.BASELINE.value]
     assert baseline["status"] == "crashed"
     assert len(baseline["runtime"]) < 2

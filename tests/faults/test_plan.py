@@ -5,11 +5,7 @@ import pytest
 from repro.config import FaultConfig
 from repro.errors import ConfigError
 from repro.faults.breaker import CircuitBreaker
-from repro.faults.plan import (
-    FaultPlan,
-    default_fault_config,
-    set_default_fault_config,
-)
+from repro.faults.plan import FaultPlan
 from repro.sim.rng import DeterministicRng
 
 
@@ -85,17 +81,6 @@ def test_config_rejects_bad_rates():
         FaultConfig(mapper_breaker_threshold=0).validate()
     with pytest.raises(ConfigError):
         FaultConfig(watchdog_max_events=0).validate()
-
-
-def test_default_fault_config_round_trip():
-    assert default_fault_config() is None
-    cfg = FaultConfig.chaos()
-    set_default_fault_config(cfg)
-    try:
-        assert default_fault_config() is cfg
-    finally:
-        set_default_fault_config(None)
-    assert default_fault_config() is None
 
 
 # ----------------------------------------------------------------------

@@ -11,13 +11,11 @@ import json
 
 import pytest
 
+from repro.context import RunContext, run_context
 from repro.errors import ExperimentError
 from repro.exec.executor import execute_cell
 from repro.exec.spec import CellSpec
-from repro.swapback.base import (
-    default_swap_backend,
-    set_default_swap_backend,
-)
+from repro.swapback.base import default_swap_backend
 
 SCALE = 8
 
@@ -83,20 +81,11 @@ def test_unknown_backend_rejected_at_spec_build():
 
 def test_specs_capture_the_ambient_backend():
     assert default_swap_backend() is None
-    set_default_swap_backend("zram")
-    try:
+    with run_context(RunContext(swap_backend="zram")):
         spec = CellSpec(experiment_id="fig09", cell_id="c", scale=8)
         assert spec.backend == "zram"
-    finally:
-        set_default_swap_backend(None)
+        explicit = CellSpec(experiment_id="fig09", cell_id="c", scale=8,
+                            backend=None)
+        assert explicit.backend is None
     assert CellSpec(experiment_id="fig09", cell_id="c",
                     scale=8).backend is None
-
-
-def test_execute_cell_restores_the_ambient_backend():
-    set_default_swap_backend("ssd")
-    try:
-        execute_cell(_cell("nvme"))
-        assert default_swap_backend().kind == "ssd"
-    finally:
-        set_default_swap_backend(None)

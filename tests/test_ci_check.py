@@ -79,3 +79,68 @@ def test_main_exit_codes(tmp_path, capsys):
     assert "resume OK" in capsys.readouterr().out
     assert ci_check.main(["resume", str(log), "swaptier"]) == 1
     assert "check failed" in capsys.readouterr().err
+
+
+def _all_line(cells, executed, cached, retried, quarantined):
+    return (f"[all: cells={cells} executed={executed} cached={cached} "
+            f"retried={retried} quarantined={quarantined} "
+            f"cached-wall=12.5s]\n")
+
+
+def test_chaos_passes_when_kills_struck_and_resume_reused_survivors():
+    first = _all_line(213, 212, 0, 5, 1)
+    resume = _all_line(213, 1, 212, 0, 0)
+    summary = ci_check.check_chaos(first, resume)
+    assert "5 retried, 1 quarantined of 213" in summary
+    assert "212 from cache" in summary
+
+
+@pytest.mark.parametrize("first, resume, match", [
+    (_all_line(213, 213, 0, 0, 0), _all_line(213, 0, 213, 0, 0),
+     "never struck"),
+    (_all_line(213, 213, 0, 3, 0), _all_line(213, 2, 210, 0, 0),
+     "re-ran completed cells"),
+    (_all_line(1, 0, 0, 1, 1), _all_line(1, 0, 0, 0, 1),
+     "served nothing"),
+    ("no totals", _all_line(213, 0, 213, 0, 0), "missing all totals"),
+], ids=["never-struck", "re-ran", "nothing-cached", "no-totals"])
+def test_chaos_failures(first, resume, match):
+    with pytest.raises(ci_check.CheckFailed, match=match):
+        ci_check.check_chaos(first, resume)
+
+
+def _payloads(root: Path, docs: dict) -> Path:
+    root.mkdir()
+    for name, doc in docs.items():
+        (root / f"BENCH_{name}.json").write_text(json.dumps(doc))
+    return root
+
+
+FIGURE_PAYLOAD = {"python": "3.11.7", "figure_id": "fig09",
+                  "cell_wall_seconds": {"baseline": 1.5}}
+SUITE_PAYLOAD = {"python": "3.11.7", "suite": "hotpath",
+                 "ops": {"scan": 1e-6}}
+
+
+def test_payloads_pass_for_stamped_figure_and_suite_payloads(tmp_path):
+    root = _payloads(tmp_path / "ok", {"fig09": FIGURE_PAYLOAD,
+                                       "hotpath": SUITE_PAYLOAD})
+    assert ci_check.check_payloads(root) == "timings OK: 2 BENCH payloads"
+
+
+@pytest.mark.parametrize("doc, match", [
+    (dict(FIGURE_PAYLOAD, python=""), "interpreter stamp"),
+    (dict(FIGURE_PAYLOAD, cell_wall_seconds={}), "no cell timings"),
+    ({"python": "3.11.7", "cell_wall_seconds": {"a": 1.0}}, "figure id"),
+    (dict(SUITE_PAYLOAD, ops={}), "no primitive timings"),
+], ids=["unstamped", "no-timings", "no-figure-id", "no-ops"])
+def test_payloads_failures(tmp_path, doc, match):
+    root = _payloads(tmp_path / "bad", {"fig09": FIGURE_PAYLOAD,
+                                        "broken": doc})
+    with pytest.raises(ci_check.CheckFailed, match=match):
+        ci_check.check_payloads(root)
+
+
+def test_payloads_fail_on_an_empty_directory(tmp_path):
+    with pytest.raises(ci_check.CheckFailed, match="no BENCH"):
+        ci_check.check_payloads(_payloads(tmp_path / "empty", {}))

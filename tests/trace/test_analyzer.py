@@ -3,8 +3,8 @@ trace/counter cross-check the tracing subsystem exists for."""
 
 import pytest
 
+from repro.context import RunContext, run_context
 from repro.errors import TraceError
-from repro.trace import set_tracing
 from repro.trace.analyzer import ROOT_CAUSES, TraceAnalyzer
 from repro.trace.events import Span, TraceData, TraceEvent
 
@@ -125,11 +125,8 @@ def test_live_cell_cross_checks_bit_exactly():
 
     sweep = EXPERIMENTS["fig9"].build_sweep(scale=32)
     spec = sweep.cells[0]  # baseline: every pathology fires
-    previous = set_tracing("full")
-    try:
+    with run_context(RunContext(trace="full")):
         result = cell_runner(spec.experiment_id)(spec)
-    finally:
-        set_tracing(previous)
     assert result.trace is not None and result.trace.complete
     derived = TraceAnalyzer(result.trace).verify(result.counters)
     assert derived["silent_swap_writes"] > 0

@@ -4,7 +4,7 @@ import json
 
 from repro.exec.executor import ParallelExecutor, run_sweep
 from repro.exec.store import ResultStore
-from repro.trace import set_tracing
+from repro.context import RunContext, run_context
 from repro.trace.collector import TraceCollector
 from repro.trace.export import (
     chrome_trace,
@@ -93,14 +93,11 @@ def test_parallel_sweep_exports_byte_identically_to_serial(tmp_path):
     from repro.experiments.registry import EXPERIMENTS
 
     sweep = EXPERIMENTS["fig3"].build_sweep(scale=32)
-    previous = set_tracing("full")
-    try:
+    with run_context(RunContext(trace="full")):
         serial_store = ResultStore(tmp_path / "serial")
         run_sweep(sweep, store=serial_store)
         parallel_store = ResultStore(tmp_path / "parallel")
         run_sweep(sweep, executor=ParallelExecutor(2), store=parallel_store)
-    finally:
-        set_tracing(previous)
 
     documents = []
     for store in (serial_store, parallel_store):

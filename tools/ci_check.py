@@ -1,9 +1,12 @@
-"""Checks the CI jobs run against sweep logs and result stores.
+"""Checks the CI jobs run against sweep logs, result stores and
+benchmark payloads.
 
-Two subcommands::
+Four subcommands::
 
     python tools/ci_check.py resume LOG EXPERIMENT
     python tools/ci_check.py figures REF_DIR GOT_DIR [--require NAME]
+    python tools/ci_check.py chaos FIRST_LOG RESUME_LOG
+    python tools/ci_check.py payloads DIR
 
 ``resume`` reads the totals line ``run EXPERIMENT --resume`` printed
 (``EXPERIMENT`` may be ``all``) and demands that every cell came from
@@ -14,6 +17,17 @@ carries the CLI's ``cached, 0 executed`` note.
 under ``figures/``: both must hold the same non-empty set of files,
 and each pair must agree on its ``figure`` payload and ``cell_keys``.
 ``--require NAME`` also demands that ``NAME.json`` is among them.
+
+``chaos`` reads the ``all`` totals lines of a worker-kill sweep and of
+its ``--resume`` rerun.  The first run must have retried or
+quarantined at least one cell.  The rerun must serve at least
+``cells - quarantined - executed`` cells from the cache, and more than
+none: quarantined cells were never stored, so it may re-run those.
+
+``payloads`` checks the ``BENCH_*.json`` files a benchmark run wrote
+into DIR: there is at least one, each carries an interpreter stamp,
+primitive suites (``hotpath``, ``swapback``) list their op timings,
+and figure payloads name their figure and hold per-cell timings.
 
 Exits 0 with a one-line summary, or 1 with the first failed check.
 """
@@ -81,6 +95,48 @@ def check_figures(ref: Path, got: Path, *,
     return f"figures OK: {len(names)} identical to the reference"
 
 
+def check_chaos(first: str, resume: str) -> str:
+    """Worker-kill chaos struck, and its resume reused the survivors."""
+    totals = sweep_totals(first, "all")
+    if totals["retried"] + totals["quarantined"] < 1:
+        raise CheckFailed(f"worker-kill chaos never struck a cell: {totals}")
+    again = sweep_totals(resume, "all")
+    if again["cached"] < (again["cells"] - again["quarantined"]
+                          - again["executed"]):
+        raise CheckFailed(f"resume re-ran completed cells: {again}")
+    if again["cached"] <= 0:
+        raise CheckFailed(f"resume served nothing from cache: {again}")
+    return (f"chaos OK: {totals['retried']} retried, "
+            f"{totals['quarantined']} quarantined of {totals['cells']} "
+            f"cells; resume served {again['cached']} from cache")
+
+
+PRIMITIVE_SUITES = ("hotpath", "swapback")
+
+
+def check_payloads(directory: Path) -> str:
+    """Every benchmark payload is stamped and holds its timings."""
+    paths = sorted(directory.glob("BENCH_*.json"))
+    if not paths:
+        raise CheckFailed(f"no BENCH_*.json written under {directory}")
+    for path in paths:
+        try:
+            doc = json.loads(path.read_text())
+        except ValueError as error:
+            raise CheckFailed(f"{path.name}: not JSON ({error})") from None
+        if not doc.get("python"):
+            raise CheckFailed(f"{path.name}: missing interpreter stamp")
+        if doc.get("suite") in PRIMITIVE_SUITES:
+            if not doc.get("ops"):
+                raise CheckFailed(f"{path.name}: no primitive timings")
+            continue
+        if not doc.get("figure_id"):
+            raise CheckFailed(f"{path.name}: missing figure id")
+        if not doc.get("cell_wall_seconds"):
+            raise CheckFailed(f"{path.name}: no cell timings")
+    return f"timings OK: {len(paths)} BENCH payloads"
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     commands = parser.add_subparsers(dest="command", required=True)
@@ -91,12 +147,22 @@ def main(argv: list[str] | None = None) -> int:
     figures.add_argument("ref", type=Path)
     figures.add_argument("got", type=Path)
     figures.add_argument("--require")
+    chaos = commands.add_parser("chaos", help="worker-kill chaos recovered")
+    chaos.add_argument("first", type=Path)
+    chaos.add_argument("resume", type=Path)
+    payloads = commands.add_parser("payloads", help="BENCH payloads")
+    payloads.add_argument("directory", type=Path)
     args = parser.parse_args(argv)
     try:
         if args.command == "resume":
             summary = check_resume(args.log.read_text(), args.experiment)
-        else:
+        elif args.command == "figures":
             summary = check_figures(args.ref, args.got, require=args.require)
+        elif args.command == "chaos":
+            summary = check_chaos(args.first.read_text(),
+                                  args.resume.read_text())
+        else:
+            summary = check_payloads(args.directory)
     except CheckFailed as failure:
         print(f"check failed: {failure}", file=sys.stderr)
         return 1
