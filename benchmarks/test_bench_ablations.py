@@ -1,19 +1,15 @@
 """Ablation benches for the design choices DESIGN.md calls out."""
 
 from benchmarks.conftest import run_once
-from repro.experiments.ablations import (
-    run_cluster_ablation,
-    run_dirty_bit_ablation,
-    run_preventer_param_ablation,
-    run_ssd_ablation,
-)
+from repro.experiments.registry import run_experiment
 
 
 def test_bench_ablation_dirty_bit(benchmark, bench_scale, record_result, bench_store):
     """A guest-page dirty bit alone removes most of the swap rewrite
     traffic the paper blames on 2013-era hardware."""
     result = run_once(benchmark,
-                      lambda: run_dirty_bit_ablation(scale=bench_scale, store=bench_store))
+                      lambda: run_experiment(
+                          "ablation-dirty-bit", scale=bench_scale, store=bench_store))
     record_result(result)
     without = result.series["no dirty bit (2013 hw)"]
     with_bit = result.series["hardware dirty bit (Haswell)"]
@@ -26,7 +22,8 @@ def test_bench_ablation_ssd(benchmark, bench_scale, record_result, bench_store):
     """SSD swap narrows but does not erase VSwapper's advantage; the
     write elimination itself still matters for flash endurance."""
     result = run_once(benchmark,
-                      lambda: run_ssd_ablation(scale=bench_scale, store=bench_store))
+                      lambda: run_experiment(
+                          "ablation-ssd", scale=bench_scale, store=bench_store))
     record_result(result)
     rows = result.series
     hdd_gain = (rows["hdd/baseline"]["runtime"]
@@ -46,9 +43,9 @@ def test_bench_ablation_preventer_params(benchmark, bench_scale,
     the parameter space for whole-page workloads."""
     result = run_once(
         benchmark,
-        lambda: run_preventer_param_ablation(
-            scale=bench_scale, store=bench_store, windows=(0.25e-3, 1e-3),
-            caps=(8, 32)))
+        lambda: run_experiment(
+            "ablation-preventer", scale=bench_scale, store=bench_store,
+            windows=(0.25e-3, 1e-3), caps=(8, 32)))
     record_result(result)
     rows = result.series
     for row in rows.values():
@@ -63,8 +60,9 @@ def test_bench_ablation_cluster(benchmark, bench_scale, record_result, bench_sto
     """Swap readahead matters: no clustering multiplies faults."""
     result = run_once(
         benchmark,
-        lambda: run_cluster_ablation(
-            scale=bench_scale, store=bench_store, clusters=(1, 8, 32)))
+        lambda: run_experiment(
+            "ablation-cluster", scale=bench_scale, store=bench_store,
+            clusters=(1, 8, 32)))
     record_result(result)
     rows = result.series
     assert rows["1"]["guest_faults"] > 2 * rows["8"]["guest_faults"]

@@ -8,12 +8,12 @@ pressure-driven migrations that spreading policies avoid.
 """
 
 from benchmarks.conftest import run_once
-from repro.experiments.cluster import run_cluster_experiment
+from repro.experiments.registry import run_experiment
 
 
 def test_bench_cluster(benchmark, bench_scale, record_result, bench_store):
-    result = run_once(benchmark, lambda: run_cluster_experiment(
-        scale=bench_scale, store=bench_store))
+    result = run_once(benchmark, lambda: run_experiment(
+        "cluster", scale=bench_scale, store=bench_store))
     record_result(
         result,
         "density capacity: baseline overruns its node swap budget at "

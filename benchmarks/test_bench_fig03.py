@@ -5,11 +5,13 @@ Paper: baseline 38.7s, balloon 3.1s, vswapper 4.0s, balloon+vswapper
 """
 
 from benchmarks.conftest import run_once
-from repro.experiments.fig09 import build_fig03_sweep, run_fig03
+from repro.experiments.fig09 import build_fig03_sweep
+from repro.experiments.registry import run_experiment
 
 
 def test_bench_fig03(benchmark, bench_scale, record_result, bench_store):
-    result = run_once(benchmark, lambda: run_fig03(scale=bench_scale, store=bench_store))
+    result = run_once(benchmark, lambda: run_experiment(
+        "fig3", scale=bench_scale, store=bench_store))
     series = result.series
     note = (
         "paper: baseline 38.7s | balloon+base 3.1s | vswapper 4.0s | "

@@ -6,11 +6,12 @@ ballooning under changing load.
 """
 
 from benchmarks.conftest import run_once
-from repro.experiments.dynamic import run_fig04
+from repro.experiments.registry import run_experiment
 
 
 def test_bench_fig04(benchmark, bench_scale, record_result, bench_store):
-    result = run_once(benchmark, lambda: run_fig04(scale=bench_scale, store=bench_store))
+    result = run_once(benchmark, lambda: run_experiment(
+        "fig4", scale=bench_scale, store=bench_store))
     series = result.series
     note = (
         "paper: baseline 153s | balloon+base 167s | vswapper 88s | "

@@ -6,14 +6,14 @@ stays within 1.03-1.13x of ballooning.
 """
 
 from benchmarks.conftest import run_once
-from repro.experiments.fig05_11 import run_fig05_fig11
+from repro.experiments.registry import run_experiment
 
 SWEEP = (512, 384, 256, 240, 192, 128)
 
 
 def test_bench_fig05(benchmark, bench_scale, record_result, bench_store):
-    result = run_once(benchmark, lambda: run_fig05_fig11(
-        scale=bench_scale, store=bench_store, memory_sweep_mib=SWEEP))
+    result = run_once(benchmark, lambda: run_experiment(
+        "fig5", scale=bench_scale, store=bench_store, memory_sweep_mib=SWEEP))
     record_result(
         result,
         "paper: balloon best while alive, killed below 240MB; baseline "

@@ -8,12 +8,14 @@ vswapper.
 """
 
 from benchmarks.conftest import run_once
-from repro.experiments.fig09 import build_fig09_sweep, run_fig09
+from repro.experiments.fig09 import build_fig09_sweep
+from repro.experiments.registry import run_experiment
 
 
 def test_bench_fig09(benchmark, bench_scale, record_result, bench_store):
     result = run_once(
-        benchmark, lambda: run_fig09(scale=bench_scale, store=bench_store, iterations=8))
+        benchmark, lambda: run_experiment(
+            "fig9", scale=bench_scale, store=bench_store, iterations=8))
     record_result(
         result, sweep=build_fig09_sweep(scale=bench_scale, iterations=8))
     base = result.series["baseline"]

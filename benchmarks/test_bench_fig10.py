@@ -6,11 +6,12 @@ configuration crashed from over-ballooning.
 """
 
 from benchmarks.conftest import run_once
-from repro.experiments.fig10 import run_fig10
+from repro.experiments.registry import run_experiment
 
 
 def test_bench_fig10(benchmark, bench_scale, record_result, bench_store):
-    result = run_once(benchmark, lambda: run_fig10(scale=bench_scale, store=bench_store))
+    result = run_once(benchmark, lambda: run_experiment(
+        "fig10", scale=bench_scale, store=bench_store))
     record_result(
         result,
         "paper: preventer >= 2x faster than vswapper-without-preventer; "

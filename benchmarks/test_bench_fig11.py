@@ -6,7 +6,7 @@ scanned by reclaim grow with pressure.
 """
 
 from benchmarks.conftest import run_once
-from repro.experiments.fig05_11 import run_fig05_fig11
+from repro.experiments.registry import run_experiment
 from repro.experiments.runner import ConfigName
 
 SWEEP = (512, 384, 256, 192, 128)
@@ -14,8 +14,8 @@ CONFIGS = (ConfigName.BASELINE, ConfigName.MAPPER, ConfigName.VSWAPPER)
 
 
 def test_bench_fig11(benchmark, bench_scale, record_result, bench_store):
-    result = run_once(benchmark, lambda: run_fig05_fig11(
-        scale=bench_scale, store=bench_store, memory_sweep_mib=SWEEP,
+    result = run_once(benchmark, lambda: run_experiment(
+        "fig11", scale=bench_scale, store=bench_store, memory_sweep_mib=SWEEP,
         config_names=CONFIGS))
     result.figure_id = "fig11"
     record_result(

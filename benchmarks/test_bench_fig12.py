@@ -6,14 +6,14 @@ the Preventer performs up to ~80K remaps.
 """
 
 from benchmarks.conftest import run_once
-from repro.experiments.fig12 import run_fig12
+from repro.experiments.registry import run_experiment
 
 SWEEP = (512, 384, 256, 192)
 
 
 def test_bench_fig12(benchmark, bench_scale, record_result, bench_store):
-    result = run_once(benchmark, lambda: run_fig12(
-        scale=bench_scale, store=bench_store, memory_sweep_mib=SWEEP))
+    result = run_once(benchmark, lambda: run_experiment(
+        "fig12", scale=bench_scale, store=bench_store, memory_sweep_mib=SWEEP))
     record_result(
         result,
         "paper: baseline 15% slower at 192MB vs 4-5% for balloon; "

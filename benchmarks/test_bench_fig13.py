@@ -5,14 +5,14 @@ below 448MB; baseline is 0.97-1.28x of vswapper.
 """
 
 from benchmarks.conftest import run_once
-from repro.experiments.fig13_15 import run_fig13
+from repro.experiments.registry import run_experiment
 
 SWEEP = (512, 448, 384, 320, 256)
 
 
 def test_bench_fig13(benchmark, bench_scale, record_result, bench_store):
-    result = run_once(benchmark, lambda: run_fig13(
-        scale=bench_scale, store=bench_store, memory_sweep_mib=SWEEP))
+    result = run_once(benchmark, lambda: run_experiment(
+        "fig13", scale=bench_scale, store=bench_store, memory_sweep_mib=SWEEP))
     record_result(
         result,
         "paper: balloon killed below 448MB; baseline up to 1.28x of "

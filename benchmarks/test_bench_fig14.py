@@ -6,14 +6,14 @@ the combined configuration) while the VSwapper ones stay within 1.11x.
 """
 
 from benchmarks.conftest import run_once
-from repro.experiments.dynamic import run_fig14
+from repro.experiments.registry import run_experiment
 
 GUEST_COUNTS = (1, 4, 7, 10)
 
 
 def test_bench_fig14(benchmark, bench_scale, record_result, bench_store):
-    result = run_once(benchmark, lambda: run_fig14(
-        scale=bench_scale, store=bench_store, guest_counts=GUEST_COUNTS))
+    result = run_once(benchmark, lambda: run_experiment(
+        "fig14", scale=bench_scale, store=bench_store, guest_counts=GUEST_COUNTS))
     record_result(
         result,
         "paper: pressure from ~7 guests; balloon-only/baseline up to "

@@ -6,11 +6,12 @@ repurposes cache pages.
 """
 
 from benchmarks.conftest import run_once
-from repro.experiments.fig13_15 import run_fig15
+from repro.experiments.registry import run_experiment
 
 
 def test_bench_fig15(benchmark, bench_scale, record_result, bench_store):
-    result = run_once(benchmark, lambda: run_fig15(scale=bench_scale, store=bench_store))
+    result = run_once(benchmark, lambda: run_experiment(
+        "fig15", scale=bench_scale, store=bench_store))
     record_result(
         result,
         "paper: tracked size rides the clean-page-cache curve")

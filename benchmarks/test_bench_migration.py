@@ -5,12 +5,13 @@ references instead of clean file-backed contents.
 """
 
 from benchmarks.conftest import run_once
-from repro.experiments.migration import run_migration_study
+from repro.experiments.registry import run_experiment
 
 
 def test_bench_migration_study(benchmark, bench_scale, record_result, bench_store):
     result = run_once(benchmark,
-                      lambda: run_migration_study(scale=bench_scale, store=bench_store))
+                      lambda: run_experiment(
+                          "migration-study", scale=bench_scale, store=bench_store))
     record_result(
         result,
         "paper sec 7: 'avoid the transfer of free and clean guest "

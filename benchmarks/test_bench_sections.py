@@ -5,13 +5,13 @@ metadata.  Paper 5.4: Windows sysbench 302s -> 79s; bzip2 306s -> 149s.
 """
 
 from benchmarks.conftest import run_once
-from repro.experiments.sec53 import run_sec53
-from repro.experiments.sec54 import run_sec54
+from repro.experiments.registry import run_experiment
 
 
 def test_bench_sec53_overheads(benchmark, bench_scale, record_result, bench_store):
     result = run_once(benchmark,
-                      lambda: run_sec53(scale=bench_scale, store=bench_store))
+                      lambda: run_experiment(
+                          "sec5.3", scale=bench_scale, store=bench_store))
     record_result(result)
     # Zero-pressure overhead within the paper's bound.
     assert result.series["slowdown"] < 1.035
@@ -22,7 +22,8 @@ def test_bench_sec53_overheads(benchmark, bench_scale, record_result, bench_stor
 
 def test_bench_sec54_windows(benchmark, bench_scale, record_result, bench_store):
     result = run_once(benchmark,
-                      lambda: run_sec54(scale=bench_scale, store=bench_store))
+                      lambda: run_experiment(
+                          "sec5.4", scale=bench_scale, store=bench_store))
     record_result(
         result,
         "paper: sysbench 302s -> 79s (3.8x); bzip2 306s -> 149s (2.1x)")

@@ -8,13 +8,12 @@ turns a 25s run into 78s and quadruples swap traffic).
 """
 
 from benchmarks.conftest import run_once
-from repro.experiments.table1 import run_table1
-from repro.experiments.table2 import run_table2
+from repro.experiments.registry import run_experiment
 
 
 def test_bench_table1(benchmark, record_result, bench_store):
     result = run_once(benchmark,
-                      lambda: run_table1(store=bench_store))
+                      lambda: run_experiment("table1", store=bench_store))
     record_result(result)
     ours = result.series["repro"]
     assert ours["Mapper"] > 0
@@ -25,7 +24,8 @@ def test_bench_table1(benchmark, record_result, bench_store):
 
 def test_bench_table2(benchmark, bench_scale, record_result, bench_store):
     result = run_once(benchmark,
-                      lambda: run_table2(scale=bench_scale, store=bench_store))
+                      lambda: run_experiment(
+                          "table2", scale=bench_scale, store=bench_store))
     record_result(
         result,
         "paper: balloon enabled 25s / disabled 78s (3.1x); "

@@ -23,7 +23,8 @@ import argparse
 
 from repro.exec.executor import make_executor
 from repro.exec.store import ResultStore
-from repro.experiments.cluster import FLEET_SIZES, run_cluster_experiment
+from repro.experiments.cluster import FLEET_SIZES
+from repro.experiments.registry import run_experiment
 
 #: Accept fleets whose average runtime is within this factor of an
 #: unloaded single guest.
@@ -58,7 +59,8 @@ def main() -> None:
     print(f"Capacity = most guests with average slowdown "
           f"<= {SLOWDOWN_BUDGET}x the unloaded singleton.\n")
 
-    result = run_cluster_experiment(
+    result = run_experiment(
+        "cluster",
         scale=args.scale,
         executor=make_executor(args.jobs),
         store=store,

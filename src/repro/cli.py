@@ -481,10 +481,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 0
 
     if args.command == "chaos":
-        from repro.experiments.chaos import run_chaos
-
         try:
-            result = run_chaos(scale=args.scale, seed=args.seed)
+            result = run_experiment("chaos", scale=args.scale,
+                                    seed=args.seed)
         except ReproError as error:
             print(f"error: {error}", file=sys.stderr)
             return 1

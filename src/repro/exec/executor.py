@@ -56,8 +56,8 @@ def execute_cell(spec: CellSpec) -> RunResult:
     This is the unit all executors (and worker processes) invoke; it
     must depend on nothing but the spec.
     """
-    # Deferred imports keep module import acyclic (registry imports the
-    # experiment modules, which import this module for run_sweep).
+    # Deferred imports keep module import acyclic (the registry imports
+    # this module for run_sweep).
     from repro.experiments.registry import cell_runner
     from repro.profiling import profile_runner
 

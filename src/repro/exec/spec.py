@@ -5,7 +5,9 @@ x workload parameters x memory grant.  A :class:`CellSpec` is the
 *complete*, serializable description of one such simulation -- enough
 for any process to rebuild the seeded :class:`repro.machine.Machine`
 and re-run it bit-identically.  A :class:`Sweep` is the ordered set of
-cells one experiment declares instead of hand-rolling a loop.
+cells one experiment declares instead of hand-rolling a loop;
+:func:`repro.experiments.registry.run_experiment` builds it, runs it,
+and hands the results to the experiment's assembler.
 
 Because a cell is pure data (JSON primitives only), the executor layer
 can ship it to a worker process, and the store layer can content-hash
@@ -68,9 +70,10 @@ class CellSpec:
     """One independent simulation inside a sweep.
 
     ``experiment_id`` names the *harness* whose cell runner understands
-    this spec (see ``repro.experiments.registry.CELL_RUNNERS``); two CLI
-    experiments may share one harness id (fig5/fig11, fig4/fig14) so
-    their identical cells share cache entries.
+    this spec (``repro.experiments.registry.CELL_RUNNERS``, derived from
+    the registry rows' ``harness_id``); two CLI experiments may share one
+    harness id (fig5/fig11, fig4/fig14) so their identical cells share
+    cache entries.
     """
 
     experiment_id: str

@@ -22,7 +22,6 @@ from dataclasses import replace
 from typing import Mapping, Sequence
 
 from repro.config import DiskConfig, HostConfig, MachineConfig, VSwapperConfig
-from repro.exec.executor import finish_figure, run_sweep
 from repro.exec.spec import CellSpec, Sweep
 from repro.experiments.runner import (
     ConfigName,
@@ -116,16 +115,6 @@ def assemble_dirty_bit(sweep: Sweep,
     return FigureResult("ablation-dirty-bit", rows, table.render())
 
 
-def run_dirty_bit_ablation(*, scale: int = 1, executor=None, store=None,
-                           resume: bool = False) -> FigureResult:
-    """Baseline swapping with and without a guest-page dirty bit."""
-    sweep = build_dirty_bit_sweep(scale=scale)
-    outcome = run_sweep(sweep, executor=executor, store=store,
-                        resume=resume)
-    return finish_figure(
-        assemble_dirty_bit(sweep, outcome.results), outcome, store)
-
-
 def build_ssd_sweep(*, scale: int = 1) -> Sweep:
     """Declare the 2x2 grid: disk technology x configuration."""
     cells = tuple(
@@ -175,16 +164,6 @@ def assemble_ssd(sweep: Sweep,
                       round(row["runtime"], 1),
                       row["swap_sectors_written"])
     return FigureResult("ablation-ssd", rows, table.render())
-
-
-def run_ssd_ablation(*, scale: int = 1, executor=None, store=None,
-                     resume: bool = False) -> FigureResult:
-    """Baseline vs VSwapper on HDD and on SSD swap devices."""
-    sweep = build_ssd_sweep(scale=scale)
-    outcome = run_sweep(sweep, executor=executor, store=store,
-                        resume=resume)
-    return finish_figure(
-        assemble_ssd(sweep, outcome.results), outcome, store)
 
 
 def _preventer_key(window: float, cap: int) -> str:
@@ -251,21 +230,6 @@ def assemble_preventer(sweep: Sweep,
     return FigureResult("ablation-preventer", rows, table.render())
 
 
-def run_preventer_param_ablation(
-    *,
-    scale: int = 1,
-    windows: Sequence[float] = DEFAULT_PREVENTER_WINDOWS,
-    caps: Sequence[int] = DEFAULT_PREVENTER_CAPS,
-    executor=None, store=None, resume: bool = False,
-) -> FigureResult:
-    """Sensitivity of the Preventer to its window and page cap."""
-    sweep = build_preventer_sweep(scale=scale, windows=windows, caps=caps)
-    outcome = run_sweep(sweep, executor=executor, store=store,
-                        resume=resume)
-    return finish_figure(
-        assemble_preventer(sweep, outcome.results), outcome, store)
-
-
 def build_cluster_sweep(
     *,
     scale: int = 1,
@@ -319,17 +283,3 @@ def assemble_cluster(sweep: Sweep,
         table.add_row(cell.params["cluster"], round(row["runtime"], 1),
                       row["guest_faults"], row["swap_sectors_read"])
     return FigureResult("ablation-cluster", rows, table.render())
-
-
-def run_cluster_ablation(
-    *,
-    scale: int = 1,
-    clusters: Sequence[int] = DEFAULT_CLUSTERS,
-    executor=None, store=None, resume: bool = False,
-) -> FigureResult:
-    """Swap readahead cluster size vs baseline decay."""
-    sweep = build_cluster_sweep(scale=scale, clusters=clusters)
-    outcome = run_sweep(sweep, executor=executor, store=store,
-                        resume=resume)
-    return finish_figure(
-        assemble_cluster(sweep, outcome.results), outcome, store)

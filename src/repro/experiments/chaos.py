@@ -18,7 +18,6 @@ store or in a worker process sees the exact same injections.
 from __future__ import annotations
 
 from repro.config import FaultConfig, MachineConfig
-from repro.exec.executor import finish_figure, run_sweep
 from repro.exec.spec import CellSpec, Sweep, fault_params, faults_from_params
 from repro.experiments.runner import (
     ConfigName,
@@ -115,16 +114,3 @@ def assemble_chaos(sweep: Sweep,
             cell["crash_reason"] or "",
         )
     return FigureResult("chaos", series, table.render())
-
-
-def run_chaos(*, scale: int = 1, seed: int = 1,
-              fault_config: FaultConfig | None = None,
-              executor=None, store=None,
-              resume: bool = False) -> FigureResult:
-    """Run the five standard configs under the seeded fault plan."""
-    sweep = build_chaos_sweep(scale=scale, seed=seed,
-                              fault_config=fault_config)
-    outcome = run_sweep(sweep, executor=executor, store=store,
-                        resume=resume)
-    return finish_figure(
-        assemble_chaos(sweep, outcome.results), outcome, store)

@@ -31,7 +31,6 @@ from repro.config import (
     HostNodeConfig,
     PLACEMENT_POLICIES,
 )
-from repro.exec.executor import finish_figure, run_sweep
 from repro.exec.spec import CellSpec, Sweep
 from repro.experiments.dynamic import deploy_fleet, run_fleet
 from repro.experiments.runner import (
@@ -267,21 +266,3 @@ def assemble_cluster(sweep: Sweep,
                     "-" if slowdown is None else round(slowdown, 2),
                     row["migrations"], row["oom_kills"])
     return FigureResult("cluster", series, table.render())
-
-
-def run_cluster_experiment(
-    *,
-    scale: int = 1,
-    config_names: Sequence[ConfigName] = CLUSTER_CONFIGS,
-    policies: Sequence[str] = PLACEMENT_POLICIES,
-    fleet_sizes: Sequence[int] = FLEET_SIZES,
-    executor=None, store=None, resume: bool = False,
-) -> FigureResult:
-    """Regenerate the density-vs-slowdown table."""
-    sweep = build_cluster_exp_sweep(
-        scale=scale, config_names=config_names, policies=policies,
-        fleet_sizes=fleet_sizes)
-    outcome = run_sweep(sweep, executor=executor, store=store,
-                        resume=resume)
-    return finish_figure(
-        assemble_cluster(sweep, outcome.results), outcome, store)

@@ -39,7 +39,6 @@ from repro.config import (
     ClusterMigrationConfig,
     FaultConfig,
 )
-from repro.exec.executor import finish_figure, run_sweep
 from repro.exec.spec import CellSpec, Sweep, fault_params
 from repro.experiments.cluster import _fleet_nodes
 from repro.experiments.dynamic import deploy_fleet, run_fleet
@@ -394,21 +393,3 @@ def assemble_cluster_chaos(sweep: Sweep,
         rendered += ("\nExplicit figure holes (VMs recovery could not "
                      "re-home):\n" + "\n".join(holes))
     return FigureResult("cluster-chaos", series, rendered)
-
-
-def run_cluster_chaos_experiment(
-    *,
-    scale: int = 1,
-    schedules: Sequence[str] = tuple(SCHEDULES),
-    policies: Sequence[str] = CHAOS_POLICIES,
-    fleet_sizes: Sequence[int] = CHAOS_FLEET_SIZES,
-    executor=None, store=None, resume: bool = False,
-) -> FigureResult:
-    """Regenerate the fleet-survival table."""
-    sweep = build_cluster_chaos_sweep(
-        scale=scale, schedules=schedules, policies=policies,
-        fleet_sizes=fleet_sizes)
-    outcome = run_sweep(sweep, executor=executor, store=store,
-                        resume=resume)
-    return finish_figure(
-        assemble_cluster_chaos(sweep, outcome.results), outcome, store)

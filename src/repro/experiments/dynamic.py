@@ -28,7 +28,6 @@ from repro.balloon.policy import BalloonPolicy
 from repro.cluster import Cluster
 from repro.config import HostConfig, MachineConfig, VmConfig
 from repro.driver import VmDriver
-from repro.exec.executor import finish_figure, run_sweep
 from repro.exec.spec import CellSpec, Sweep
 from repro.experiments.runner import (
     ConfigName,
@@ -271,30 +270,3 @@ def assemble_fig04(sweep: Sweep,
                       "-" if runtime is None else round(runtime, 1),
                       row["crashes"])
     return FigureResult("fig04", series, table.render())
-
-
-def run_fig14(
-    *,
-    scale: int = 1,
-    guest_counts: Sequence[int] = tuple(range(1, 11)),
-    config_names: Sequence[ConfigName] = FIG14_CONFIGS,
-    executor=None, store=None, resume: bool = False,
-) -> FigureResult:
-    """Regenerate Figure 14: average runtime vs number of guests."""
-    sweep = build_fig14_sweep(
-        scale=scale, guest_counts=guest_counts, config_names=config_names)
-    outcome = run_sweep(sweep, executor=executor, store=store,
-                        resume=resume)
-    return finish_figure(
-        assemble_fig14(sweep, outcome.results), outcome, store)
-
-
-def run_fig04(*, scale: int = 1, num_guests: int = 10,
-              executor=None, store=None,
-              resume: bool = False) -> FigureResult:
-    """Regenerate Figure 4: the ten-guest bar chart."""
-    sweep = build_fig04_sweep(scale=scale, num_guests=num_guests)
-    outcome = run_sweep(sweep, executor=executor, store=store,
-                        resume=resume)
-    return finish_figure(
-        assemble_fig04(sweep, outcome.results), outcome, store)

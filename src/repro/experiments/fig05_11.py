@@ -20,7 +20,6 @@ from __future__ import annotations
 from typing import Mapping, Sequence
 
 from repro.config import MachineConfig
-from repro.exec.executor import finish_figure, run_sweep
 from repro.exec.spec import CellSpec, Sweep
 from repro.experiments.runner import (
     ConfigName,
@@ -121,20 +120,3 @@ def assemble_fig05_fig11(sweep: Sweep,
                               row["disk_ops"], row["swap_sectors_written"],
                               row["pages_scanned"])
     return FigureResult("fig05+fig11", series, table.render())
-
-
-def run_fig05_fig11(
-    *,
-    scale: int = 1,
-    memory_sweep_mib: Sequence[int] = DEFAULT_MEMORY_SWEEP,
-    config_names: Sequence[ConfigName] = FIG05_CONFIGS,
-    executor=None, store=None, resume: bool = False,
-) -> FigureResult:
-    """Regenerate Figure 5 (runtime) and Figure 11 (panels a-c)."""
-    sweep = build_fig05_fig11_sweep(
-        scale=scale, memory_sweep_mib=memory_sweep_mib,
-        config_names=config_names)
-    outcome = run_sweep(sweep, executor=executor, store=store,
-                        resume=resume)
-    return finish_figure(
-        assemble_fig05_fig11(sweep, outcome.results), outcome, store)

@@ -21,7 +21,6 @@ from __future__ import annotations
 from typing import Mapping, Sequence
 
 from repro.config import MachineConfig
-from repro.exec.executor import finish_figure, run_sweep
 from repro.exec.spec import CellSpec, Sweep, sweep_from_configs
 from repro.experiments.runner import (
     ConfigName,
@@ -146,26 +145,3 @@ def assemble_fig03(sweep: Sweep,
         table.add_row(config, "crashed" if runtime is None
                       else round(runtime, 2))
     return FigureResult("fig03", series, table.render())
-
-
-def run_fig09(*, scale: int = 1, iterations: int = 8,
-              config_names: Sequence[ConfigName] = FIG09_CONFIGS,
-              executor=None, store=None, resume: bool = False,
-              ) -> FigureResult:
-    """Regenerate Figure 9's four panels."""
-    sweep = build_fig09_sweep(
-        scale=scale, iterations=iterations, config_names=config_names)
-    outcome = run_sweep(sweep, executor=executor, store=store,
-                        resume=resume)
-    return finish_figure(
-        assemble_fig09(sweep, outcome.results), outcome, store)
-
-
-def run_fig03(*, scale: int = 1, executor=None, store=None,
-              resume: bool = False) -> FigureResult:
-    """Regenerate Figure 3: first-iteration read time, four configs."""
-    sweep = build_fig03_sweep(scale=scale)
-    outcome = run_sweep(sweep, executor=executor, store=store,
-                        resume=resume)
-    return finish_figure(
-        assemble_fig03(sweep, outcome.results), outcome, store)

@@ -13,7 +13,6 @@ from __future__ import annotations
 from typing import Mapping
 
 from repro.config import MachineConfig
-from repro.exec.executor import finish_figure, run_sweep
 from repro.exec.spec import CellSpec, Sweep, sweep_from_configs
 from repro.experiments.runner import (
     ConfigName,
@@ -107,13 +106,3 @@ def assemble_fig10(sweep: Sweep,
                           row["disk_ops"], row["false_reads"],
                           row["preventer_remaps"])
     return FigureResult("fig10", series, table.render())
-
-
-def run_fig10(*, scale: int = 1, executor=None, store=None,
-              resume: bool = False) -> FigureResult:
-    """Regenerate Figure 10: alloc-phase runtime and disk operations."""
-    sweep = build_fig10_sweep(scale=scale)
-    outcome = run_sweep(sweep, executor=executor, store=store,
-                        resume=resume)
-    return finish_figure(
-        assemble_fig10(sweep, outcome.results), outcome, store)

@@ -15,7 +15,6 @@ from __future__ import annotations
 from typing import Mapping, Sequence
 
 from repro.config import MachineConfig
-from repro.exec.executor import finish_figure, run_sweep
 from repro.exec.spec import CellSpec, Sweep
 from repro.experiments.runner import (
     ConfigName,
@@ -118,20 +117,3 @@ def assemble_fig12(sweep: Sweep,
                 table.add_row(config, actual_mib, round(row["runtime"], 1),
                               row["preventer_remaps"], row["false_reads"])
     return FigureResult("fig12", series, table.render())
-
-
-def run_fig12(
-    *,
-    scale: int = 1,
-    memory_sweep_mib: Sequence[int] = DEFAULT_MEMORY_SWEEP,
-    config_names: Sequence[ConfigName] = FIG12_CONFIGS,
-    executor=None, store=None, resume: bool = False,
-) -> FigureResult:
-    """Regenerate Figure 12: runtime (a) and preventer remaps (b)."""
-    sweep = build_fig12_sweep(
-        scale=scale, memory_sweep_mib=memory_sweep_mib,
-        config_names=config_names)
-    outcome = run_sweep(sweep, executor=executor, store=store,
-                        resume=resume)
-    return finish_figure(
-        assemble_fig12(sweep, outcome.results), outcome, store)

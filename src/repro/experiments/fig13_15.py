@@ -20,7 +20,6 @@ from __future__ import annotations
 from typing import Mapping, Sequence
 
 from repro.config import MachineConfig
-from repro.exec.executor import finish_figure, run_sweep
 from repro.exec.spec import CellSpec, Sweep
 from repro.experiments.runner import (
     ConfigName,
@@ -121,23 +120,6 @@ def assemble_fig13(sweep: Sweep,
     return FigureResult("fig13", series, table.render())
 
 
-def run_fig13(
-    *,
-    scale: int = 1,
-    memory_sweep_mib: Sequence[int] = DEFAULT_MEMORY_SWEEP,
-    config_names: Sequence[ConfigName] = FIG13_CONFIGS,
-    executor=None, store=None, resume: bool = False,
-) -> FigureResult:
-    """Regenerate Figure 13: Eclipse runtime vs memory limit."""
-    sweep = build_fig13_sweep(
-        scale=scale, memory_sweep_mib=memory_sweep_mib,
-        config_names=config_names)
-    outcome = run_sweep(sweep, executor=executor, store=store,
-                        resume=resume)
-    return finish_figure(
-        assemble_fig13(sweep, outcome.results), outcome, store)
-
-
 def build_fig15_sweep(*, scale: int = 1, actual_mib: float = 320,
                       sample_interval: float = 2.0) -> Sweep:
     """Declare Figure 15's single sampled-timeline cell."""
@@ -187,17 +169,3 @@ def assemble_fig15(sweep: Sweep,
         "mapper_tracked": tracked,
     }
     return FigureResult("fig15", series, table.render())
-
-
-def run_fig15(*, scale: int = 1, actual_mib: float = 320,
-              sample_interval: float = 2.0,
-              executor=None, store=None, resume: bool = False,
-              ) -> FigureResult:
-    """Regenerate Figure 15: Mapper tracking vs guest page cache."""
-    sweep = build_fig15_sweep(
-        scale=scale, actual_mib=actual_mib,
-        sample_interval=sample_interval)
-    outcome = run_sweep(sweep, executor=executor, store=store,
-                        resume=resume)
-    return finish_figure(
-        assemble_fig15(sweep, outcome.results), outcome, store)

@@ -14,7 +14,6 @@ from __future__ import annotations
 from typing import Mapping
 
 from repro.core.migration import MigrationPlan, MigrationPlanner
-from repro.exec.executor import finish_figure, run_sweep
 from repro.exec.spec import CellSpec, Sweep
 from repro.experiments.runner import (
     ConfigName,
@@ -116,13 +115,3 @@ def assemble_migration(sweep: Sweep,
                       round(row["vswapper_mib"], 1),
                       f"{row['savings'] * 100:.0f}%")
     return FigureResult("migration-study", rows, table.render())
-
-
-def run_migration_study(*, scale: int = 1, executor=None, store=None,
-                        resume: bool = False) -> FigureResult:
-    """Estimate migration traffic for baseline vs Mapper knowledge."""
-    sweep = build_migration_sweep(scale=scale)
-    outcome = run_sweep(sweep, executor=executor, store=store,
-                        resume=resume)
-    return finish_figure(
-        assemble_migration(sweep, outcome.results), outcome, store)

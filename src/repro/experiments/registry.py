@@ -1,4 +1,5 @@
-"""Registry mapping experiment ids to their harness functions.
+"""Registry mapping experiment ids to their sweep, cell runner, and
+assembler -- and the one harness that joins them.
 
 The CLI and the benchmark suite both resolve experiments through this
 table, so the set of reproducible results lives in exactly one place.
@@ -6,13 +7,17 @@ table, so the set of reproducible results lives in exactly one place.
 Two tables live here:
 
 * :data:`EXPERIMENTS` -- CLI experiment id -> :class:`ExperimentDef`
-  (description, harness, sweep declaration).  Several CLI ids share a
-  harness: ``fig5``/``fig11`` regenerate from one pbzip2 sweep,
-  ``fig4`` is ``fig14``'s ten-guest column, ``fig3`` is ``fig9``'s
-  first iteration.
-* :data:`CELL_RUNNERS` -- sweep harness id -> picklable cell runner.
-  The executor resolves runners here (by ``CellSpec.experiment_id``)
-  so worker processes rebuild each cell from its spec alone.
+  (description, harness id, sweep builder, cell runner, assembler).
+  Several CLI ids share a harness: ``fig5``/``fig11`` regenerate from
+  one pbzip2 sweep, ``fig4`` is ``fig14``'s ten-guest column, ``fig3``
+  is ``fig9``'s first iteration.
+* :data:`CELL_RUNNERS` -- sweep harness id -> picklable cell runner,
+  derived from the rows.  The executor resolves runners here (by
+  ``CellSpec.experiment_id``) so worker processes rebuild each cell
+  from its spec alone.
+
+:func:`run_experiment` is the only glue: build the sweep, run it,
+assemble the figure.
 """
 
 from __future__ import annotations
@@ -21,196 +26,148 @@ from dataclasses import dataclass
 from typing import Callable
 
 from repro.errors import ExperimentError
+from repro.exec.executor import finish_figure, run_sweep
 from repro.exec.spec import CellSpec, Sweep
-from repro.experiments.ablations import (
-    build_cluster_sweep,
-    build_dirty_bit_sweep,
-    build_preventer_sweep,
-    build_ssd_sweep,
-    cluster_cell,
-    dirty_bit_cell,
-    preventer_cell,
-    run_cluster_ablation,
-    run_dirty_bit_ablation,
-    run_preventer_param_ablation,
-    run_ssd_ablation,
-    ssd_cell,
-)
-from repro.experiments.chaos import build_chaos_sweep, chaos_cell, run_chaos
-from repro.experiments.cluster import (
-    build_cluster_exp_sweep,
-    cluster_fleet_cell,
-    run_cluster_experiment,
-)
-from repro.experiments.cluster_chaos import (
-    build_cluster_chaos_sweep,
-    cluster_chaos_cell,
-    run_cluster_chaos_experiment,
-)
-from repro.experiments.dynamic import (
-    build_fig04_sweep,
-    build_fig14_sweep,
-    dynamic_cell,
-    run_fig04,
-    run_fig14,
-)
-from repro.experiments.migration import (
-    build_migration_sweep,
-    migration_cell,
-    run_migration_study,
-)
-from repro.experiments.fig05_11 import (
-    build_fig05_fig11_sweep,
-    fig05_fig11_cell,
-    run_fig05_fig11,
-)
-from repro.experiments.fig09 import (
-    build_fig03_sweep,
-    build_fig09_sweep,
-    fig09_cell,
-    run_fig03,
-    run_fig09,
-)
-from repro.experiments.fig10 import build_fig10_sweep, fig10_cell, run_fig10
-from repro.experiments.fig12 import build_fig12_sweep, fig12_cell, run_fig12
-from repro.experiments.fig13_15 import (
-    build_fig13_sweep,
-    build_fig15_sweep,
-    fig13_cell,
-    fig15_cell,
-    run_fig13,
-    run_fig15,
+from repro.experiments import (
+    ablations,
+    chaos,
+    cluster,
+    cluster_chaos,
+    dynamic,
+    fig05_11,
+    fig09,
+    fig10,
+    fig12,
+    fig13_15,
+    migration,
+    sec53,
+    sec54,
+    swaptier,
+    table1,
+    table2,
 )
 from repro.experiments.runner import FigureResult, RunResult
-from repro.experiments.sec53 import build_sec53_sweep, run_sec53, sec53_cell
-from repro.experiments.swaptier import (
-    build_swaptier_sweep,
-    run_swaptier,
-    swaptier_cell,
-)
-from repro.experiments.sec54 import build_sec54_sweep, run_sec54, sec54_cell
-from repro.experiments.table1 import run_table1
-from repro.experiments.table2 import build_table2_sweep, run_table2, table2_cell
 
 
 @dataclass(frozen=True)
 class ExperimentDef:
-    """One CLI-visible experiment: metadata plus its harness."""
+    """One CLI-visible experiment: metadata plus its three pieces."""
 
     experiment_id: str
     description: str
-    harness: Callable[..., FigureResult]
-    #: Declares the experiment's cells (``scale`` keyword); None for
+    #: ``CellSpec.experiment_id`` of the sweep's cells; None for
     #: cell-less static results (Table 1).
-    build_sweep: Callable[..., Sweep] | None = None
-    #: Whether the harness accepts ``scale``.
-    scaled: bool = True
+    harness_id: str | None
+    #: Declares the experiment's cells (``scale`` keyword plus the
+    #: experiment's own sweep parameters).
+    build_sweep: Callable[..., Sweep] | None
+    cell: Callable[[CellSpec], RunResult] | None
+    #: ``assemble(sweep, results)``; ``assemble()`` when cell-less.
+    assemble: Callable[..., FigureResult]
 
 
-#: Experiment id -> definition.  All harnesses accept ``scale``,
-#: ``executor``, ``store``, and ``resume`` except Table 1 (pure static
-#: analysis: no scale, no cells).
-EXPERIMENTS: dict[str, ExperimentDef] = {
-    "fig3": ExperimentDef(
+#: Experiment id -> definition.
+EXPERIMENTS: dict[str, ExperimentDef] = {d.experiment_id: d for d in (
+    ExperimentDef(
         "fig3", "first-iteration sysbench read, four configs",
-        run_fig03, build_fig03_sweep),
-    "fig4": ExperimentDef(
+        "fig09", fig09.build_fig03_sweep, fig09.fig09_cell,
+        fig09.assemble_fig03),
+    ExperimentDef(
         "fig4", "ten phased MapReduce guests, average completion time",
-        run_fig04, build_fig04_sweep),
-    "fig5": ExperimentDef(
+        "dynamic", dynamic.build_fig04_sweep, dynamic.dynamic_cell,
+        dynamic.assemble_fig04),
+    ExperimentDef(
         "fig5", "pbzip2 runtime vs shrinking memory grant",
-        run_fig05_fig11, build_fig05_fig11_sweep),
-    "fig9": ExperimentDef(
+        "fig05+fig11", fig05_11.build_fig05_fig11_sweep,
+        fig05_11.fig05_fig11_cell, fig05_11.assemble_fig05_fig11),
+    ExperimentDef(
         "fig9", "anatomy of uncooperative swapping, per iteration",
-        run_fig09, build_fig09_sweep),
-    "fig10": ExperimentDef(
+        "fig09", fig09.build_fig09_sweep, fig09.fig09_cell,
+        fig09.assemble_fig09),
+    ExperimentDef(
         "fig10", "false swap reads: allocate-after-read phase",
-        run_fig10, build_fig10_sweep),
-    "fig11": ExperimentDef(
+        "fig10", fig10.build_fig10_sweep, fig10.fig10_cell,
+        fig10.assemble_fig10),
+    ExperimentDef(
         "fig11", "pbzip2 disk traffic vs shrinking memory grant",
-        run_fig05_fig11, build_fig05_fig11_sweep),
-    "fig12": ExperimentDef(
+        "fig05+fig11", fig05_11.build_fig05_fig11_sweep,
+        fig05_11.fig05_fig11_cell, fig05_11.assemble_fig05_fig11),
+    ExperimentDef(
         "fig12", "Kernbench under memory pressure, preventer remaps",
-        run_fig12, build_fig12_sweep),
-    "fig13": ExperimentDef(
+        "fig12", fig12.build_fig12_sweep, fig12.fig12_cell,
+        fig12.assemble_fig12),
+    ExperimentDef(
         "fig13", "Eclipse (DaCapo) runtime vs memory limit",
-        run_fig13, build_fig13_sweep),
-    "fig14": ExperimentDef(
+        "fig13", fig13_15.build_fig13_sweep, fig13_15.fig13_cell,
+        fig13_15.assemble_fig13),
+    ExperimentDef(
         "fig14", "phased MapReduce guests vs guest count",
-        run_fig14, build_fig14_sweep),
-    "fig15": ExperimentDef(
+        "dynamic", dynamic.build_fig14_sweep, dynamic.dynamic_cell,
+        dynamic.assemble_fig14),
+    ExperimentDef(
         "fig15", "mapper-tracked pages vs guest page cache over time",
-        run_fig15, build_fig15_sweep),
-    "table1": ExperimentDef(
+        "fig15", fig13_15.build_fig15_sweep, fig13_15.fig15_cell,
+        fig13_15.assemble_fig15),
+    ExperimentDef(
         "table1", "lines of code vs the paper's implementation",
-        run_table1, None, scaled=False),
-    "table2": ExperimentDef(
+        None, None, None, table1.assemble_table1),
+    ExperimentDef(
         "table2", "1GB read on the VMware-like profile",
-        run_table2, build_table2_sweep),
-    "sec5.3": ExperimentDef(
+        "table2", table2.build_table2_sweep, table2.table2_cell,
+        table2.assemble_table2),
+    ExperimentDef(
         "sec5.3", "VSwapper overheads at zero and light pressure",
-        run_sec53, build_sec53_sweep),
-    "sec5.4": ExperimentDef(
+        "sec53", sec53.build_sec53_sweep, sec53.sec53_cell,
+        sec53.assemble_sec53),
+    ExperimentDef(
         "sec5.4", "Windows Server guest: sysbench and bzip2",
-        run_sec54, build_sec54_sweep),
-    "ablation-dirty-bit": ExperimentDef(
+        "sec54", sec54.build_sec54_sweep, sec54.sec54_cell,
+        sec54.assemble_sec54),
+    ExperimentDef(
         "ablation-dirty-bit", "hardware dirty bit vs silent swap writes",
-        run_dirty_bit_ablation, build_dirty_bit_sweep),
-    "ablation-ssd": ExperimentDef(
+        "ablation-dirty-bit", ablations.build_dirty_bit_sweep,
+        ablations.dirty_bit_cell, ablations.assemble_dirty_bit),
+    ExperimentDef(
         "ablation-ssd", "HDD vs SSD swap devices, baseline vs VSwapper",
-        run_ssd_ablation, build_ssd_sweep),
-    "ablation-preventer": ExperimentDef(
+        "ablation-ssd", ablations.build_ssd_sweep, ablations.ssd_cell,
+        ablations.assemble_ssd),
+    ExperimentDef(
         "ablation-preventer", "Preventer window/page-cap sensitivity",
-        run_preventer_param_ablation, build_preventer_sweep),
-    "ablation-cluster": ExperimentDef(
+        "ablation-preventer", ablations.build_preventer_sweep,
+        ablations.preventer_cell, ablations.assemble_preventer),
+    ExperimentDef(
         "ablation-cluster", "swap readahead cluster size vs decay",
-        run_cluster_ablation, build_cluster_sweep),
-    "migration-study": ExperimentDef(
+        "ablation-cluster", ablations.build_cluster_sweep,
+        ablations.cluster_cell, ablations.assemble_cluster),
+    ExperimentDef(
         "migration-study", "live-migration traffic with Mapper knowledge",
-        run_migration_study, build_migration_sweep),
-    "cluster": ExperimentDef(
+        "migration-study", migration.build_migration_sweep,
+        migration.migration_cell, migration.assemble_migration),
+    ExperimentDef(
         "cluster", "four-node consolidation density vs per-guest slowdown",
-        run_cluster_experiment, build_cluster_exp_sweep),
-    "cluster-chaos": ExperimentDef(
+        "cluster", cluster.build_cluster_exp_sweep,
+        cluster.cluster_fleet_cell, cluster.assemble_cluster),
+    ExperimentDef(
         "cluster-chaos",
         "fleet survival and evacuation under injected host crashes",
-        run_cluster_chaos_experiment, build_cluster_chaos_sweep),
-    "chaos": ExperimentDef(
+        "cluster-chaos", cluster_chaos.build_cluster_chaos_sweep,
+        cluster_chaos.cluster_chaos_cell,
+        cluster_chaos.assemble_cluster_chaos),
+    ExperimentDef(
         "chaos", "five configs under deterministic fault injection",
-        run_chaos, build_chaos_sweep),
-    "swaptier": ExperimentDef(
+        "chaos", chaos.build_chaos_sweep, chaos.chaos_cell,
+        chaos.assemble_chaos),
+    ExperimentDef(
         "swaptier",
         "root-cause counters per swap backend (ssd/nvme/zram/remote)",
-        run_swaptier, build_swaptier_sweep),
-}
-
-#: Experiments whose harness takes no ``scale`` parameter.
-UNSCALED = frozenset(
-    def_.experiment_id for def_ in EXPERIMENTS.values() if not def_.scaled)
+        "swaptier", swaptier.build_swaptier_sweep, swaptier.swaptier_cell,
+        swaptier.assemble_swaptier),
+)}
 
 #: Sweep harness id (``CellSpec.experiment_id``) -> cell runner.  Keys
 #: are *harness* ids, not CLI ids: shared sweeps appear once.
 CELL_RUNNERS: dict[str, Callable[[CellSpec], RunResult]] = {
-    "fig09": fig09_cell,
-    "fig05+fig11": fig05_fig11_cell,
-    "fig10": fig10_cell,
-    "fig12": fig12_cell,
-    "fig13": fig13_cell,
-    "fig15": fig15_cell,
-    "dynamic": dynamic_cell,
-    "table2": table2_cell,
-    "sec53": sec53_cell,
-    "sec54": sec54_cell,
-    "ablation-dirty-bit": dirty_bit_cell,
-    "ablation-ssd": ssd_cell,
-    "ablation-preventer": preventer_cell,
-    "ablation-cluster": cluster_cell,
-    "migration-study": migration_cell,
-    "chaos": chaos_cell,
-    "cluster": cluster_fleet_cell,
-    "cluster-chaos": cluster_chaos_cell,
-    "swaptier": swaptier_cell,
-}
+    d.harness_id: d.cell for d in EXPERIMENTS.values() if d.cell is not None}
 
 
 def cell_runner(harness_id: str) -> Callable[[CellSpec], RunResult]:
@@ -224,28 +181,9 @@ def cell_runner(harness_id: str) -> Callable[[CellSpec], RunResult]:
         ) from None
 
 
-def register_cell_runner(harness_id: str,
-                         runner: Callable[[CellSpec], RunResult],
-                         ) -> Callable[[CellSpec], RunResult]:
-    """Register an extra cell runner (supervisor tests install runners
-    that hang or kill their worker; forked workers inherit the entry).
-
-    Refuses to shadow a real harness: tests must pick fresh ids and
-    remove them again with :func:`unregister_cell_runner`.
-    """
-    if harness_id in CELL_RUNNERS:
-        raise ExperimentError(
-            f"cell runner {harness_id!r} is already registered")
-    CELL_RUNNERS[harness_id] = runner
-    return runner
-
-
-def unregister_cell_runner(harness_id: str) -> None:
-    """Remove a runner added by :func:`register_cell_runner`."""
-    CELL_RUNNERS.pop(harness_id, None)
-
-
-def _lookup(experiment_id: str) -> ExperimentDef:
+def experiment(experiment_id: str) -> ExperimentDef:
+    """Resolve one experiment id, or raise a typed error naming the
+    known ids."""
     try:
         return EXPERIMENTS[experiment_id]
     except KeyError:
@@ -256,17 +194,25 @@ def _lookup(experiment_id: str) -> ExperimentDef:
 
 
 def run_experiment(experiment_id: str, *, scale: int = 1,
-                   executor=None, store=None,
-                   resume: bool = False) -> FigureResult:
-    """Run one experiment by id."""
-    definition = _lookup(experiment_id)
-    kwargs: dict = {"executor": executor, "store": store, "resume": resume}
-    if definition.scaled:
-        kwargs["scale"] = scale
-    else:
-        # Cell-less harness: nothing to execute or resume.
-        kwargs = {"store": store}
-    return definition.harness(**kwargs)
+                   executor=None, store=None, resume: bool = False,
+                   **sweep_params) -> FigureResult:
+    """Run one experiment by id: build its sweep, run the cells,
+    assemble and persist the figure.
+
+    ``sweep_params`` go to the experiment's sweep builder (e.g.
+    ``iterations`` for fig9); an unknown one raises ``TypeError``
+    before any cell runs.
+    """
+    definition = experiment(experiment_id)
+    if definition.build_sweep is None:
+        # Cell-less static result: nothing to scale, execute or resume.
+        return finish_figure(definition.assemble(**sweep_params),
+                             None, store)
+    sweep = definition.build_sweep(scale=scale, **sweep_params)
+    outcome = run_sweep(sweep, executor=executor, store=store,
+                        resume=resume)
+    return finish_figure(definition.assemble(sweep, outcome.results),
+                         outcome, store)
 
 
 def experiment_ids() -> list[str]:
@@ -276,12 +222,12 @@ def experiment_ids() -> list[str]:
 
 def describe(experiment_id: str) -> str:
     """One-line description for the CLI listing."""
-    return _lookup(experiment_id).description
+    return experiment(experiment_id).description
 
 
 def cell_count(experiment_id: str, *, scale: int = 1) -> int:
     """Number of cells the experiment declares at ``scale``."""
-    definition = _lookup(experiment_id)
+    definition = experiment(experiment_id)
     if definition.build_sweep is None:
         return 0
     return len(definition.build_sweep(scale=scale))

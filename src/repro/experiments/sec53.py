@@ -17,7 +17,6 @@ from __future__ import annotations
 from typing import Mapping
 
 from repro.config import MachineConfig
-from repro.exec.executor import finish_figure, run_sweep
 from repro.exec.spec import CellSpec, Sweep
 from repro.experiments.runner import (
     ConfigName,
@@ -117,13 +116,3 @@ def assemble_sec53(sweep: Sweep,
         "light_vswapper_scanned": lvsw.counters.get("pages_scanned", 0),
     }
     return FigureResult("sec5.3", series, table.render())
-
-
-def run_sec53(*, scale: int = 1, executor=None, store=None,
-              resume: bool = False) -> FigureResult:
-    """Measure VSwapper's overheads (Section 5.3)."""
-    sweep = build_sec53_sweep(scale=scale)
-    outcome = run_sweep(sweep, executor=executor, store=store,
-                        resume=resume)
-    return finish_figure(
-        assemble_sec53(sweep, outcome.results), outcome, store)

@@ -16,7 +16,6 @@ from __future__ import annotations
 from typing import Mapping
 
 from repro.config import GuestConfig, GuestOsKind, MachineConfig
-from repro.exec.executor import finish_figure, run_sweep
 from repro.exec.spec import CellSpec, Sweep
 from repro.experiments.runner import (
     ConfigName,
@@ -125,13 +124,3 @@ def assemble_sec54(sweep: Sweep,
         f"{series['without vswapper']['bzip_runtime']:.1f}s -> "
         f"{series['with vswapper']['bzip_runtime']:.1f}s")
     return FigureResult("sec5.4", series, table.render())
-
-
-def run_sec54(*, scale: int = 1, executor=None, store=None,
-              resume: bool = False) -> FigureResult:
-    """Regenerate the two Windows-guest comparisons."""
-    sweep = build_sec54_sweep(scale=scale)
-    outcome = run_sweep(sweep, executor=executor, store=store,
-                        resume=resume)
-    return finish_figure(
-        assemble_sec54(sweep, outcome.results), outcome, store)

@@ -23,7 +23,6 @@ from __future__ import annotations
 from typing import Mapping, Sequence
 
 from repro.config import MachineConfig
-from repro.exec.executor import finish_figure, run_sweep
 from repro.exec.spec import CellSpec, Sweep
 from repro.experiments.runner import (
     ConfigName,
@@ -140,13 +139,3 @@ def assemble_swaptier(sweep: Sweep,
             speedups[backend] if cell.config == "vswapper" else "")
     return FigureResult("swaptier", {"cells": rows, "speedups": speedups},
                         table.render())
-
-
-def run_swaptier(*, scale: int = 1, executor=None, store=None,
-                 resume: bool = False) -> FigureResult:
-    """Regenerate the swap-backend tiering study."""
-    sweep = build_swaptier_sweep(scale=scale)
-    outcome = run_sweep(sweep, executor=executor, store=store,
-                        resume=resume)
-    return finish_figure(
-        assemble_swaptier(sweep, outcome.results), outcome, store)

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from pathlib import Path
 
-from repro.exec.executor import finish_figure
 from repro.experiments.runner import FigureResult
 from repro.metrics.report import Table
 
@@ -42,13 +41,10 @@ def count_loc(path: Path) -> int:
     return lines
 
 
-def run_table1(*, executor=None, store=None,
-               resume: bool = False) -> FigureResult:
-    """Regenerate Table 1: paper LoC next to this reproduction's LoC.
+def assemble_table1() -> FigureResult:
+    """Build Table 1: paper LoC next to this reproduction's LoC.
 
-    Pure static analysis: there is no sweep to execute or cache, so
-    ``executor`` and ``resume`` are accepted for interface uniformity
-    and ignored; a ``store`` still receives the rendered figure.
+    Pure static analysis: there is no sweep to execute or cache.
     """
     package_root = Path(__file__).resolve().parent.parent
     ours: dict[str, int] = {}
@@ -73,5 +69,4 @@ def run_table1(*, executor=None, store=None,
         "paper": {name: list(loc) for name, loc in PAPER_LOC.items()},
         "repro": ours,
     }
-    return finish_figure(
-        FigureResult("table1", series, table.render()), None, store)
+    return FigureResult("table1", series, table.render())

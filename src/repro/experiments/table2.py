@@ -24,7 +24,6 @@ from repro.config import (
     HypervisorKind,
     MachineConfig,
 )
-from repro.exec.executor import finish_figure, run_sweep
 from repro.exec.spec import CellSpec, Sweep
 from repro.experiments.runner import (
     ConfigName,
@@ -119,13 +118,3 @@ def assemble_table2(sweep: Sweep,
                       rows["balloon enabled"][metric],
                       rows["balloon disabled"][metric])
     return FigureResult("table2", rows, table.render())
-
-
-def run_table2(*, scale: int = 1, executor=None, store=None,
-               resume: bool = False) -> FigureResult:
-    """Regenerate Table 2: balloon enabled vs disabled on VMware."""
-    sweep = build_table2_sweep(scale=scale)
-    outcome = run_sweep(sweep, executor=executor, store=store,
-                        resume=resume)
-    return finish_figure(
-        assemble_table2(sweep, outcome.results), outcome, store)

@@ -41,7 +41,7 @@ def should_kill_worker(config: FaultConfig, cell_id: str, seed: int,
     if (not config.enabled or not config.worker_kill_rate
             or attempt > config.worker_kill_max_attempt):
         return False
-    rng = DeterministicRng(seed).fork(f"worker-kill:{cell_id}:{attempt}")
+    rng = DeterministicRng.keyed(seed, f"worker-kill:{cell_id}:{attempt}")
     return rng.chance(config.worker_kill_rate)
 
 
@@ -148,7 +148,7 @@ def should_strike_store(config: StoreFaultConfig, point: StoreFaultPoint,
     rate = config.rate_for(point)
     if not rate:
         return False
-    rng = DeterministicRng(config.seed).fork(f"store:{point.value}:{key}")
+    rng = DeterministicRng.keyed(config.seed, f"store:{point.value}:{key}")
     return rng.chance(rate)
 
 
@@ -281,8 +281,8 @@ class FaultPlan:
         """
         if not self.enabled or not self.cfg.host_crash_rate:
             return None
-        rng = DeterministicRng(self.cfg.host_fault_seed).fork(
-            f"host-crash:{host_name}")
+        rng = DeterministicRng.keyed(self.cfg.host_fault_seed,
+                                    f"host-crash:{host_name}")
         if not rng.chance(self.cfg.host_crash_rate):
             return None
         return rng.uniform(0.0, self.cfg.host_fault_horizon)
@@ -293,8 +293,8 @@ class FaultPlan:
         degradation window for ``host_name``, or None."""
         if not self.enabled or not self.cfg.host_degrade_rate:
             return None
-        rng = DeterministicRng(self.cfg.host_fault_seed).fork(
-            f"host-degrade:{host_name}")
+        rng = DeterministicRng.keyed(self.cfg.host_fault_seed,
+                                    f"host-degrade:{host_name}")
         if not rng.chance(self.cfg.host_degrade_rate):
             return None
         start = rng.uniform(0.0, self.cfg.host_fault_horizon)
@@ -312,8 +312,8 @@ class FaultPlan:
         """
         if not self.enabled or not self.cfg.migration_failure_rate:
             return None
-        rng = DeterministicRng(self.cfg.host_fault_seed).fork(
-            f"migration-fail:{label}:{seq}")
+        rng = DeterministicRng.keyed(self.cfg.host_fault_seed,
+                                    f"migration-fail:{label}:{seq}")
         if not rng.chance(self.cfg.migration_failure_rate):
             return None
         return "complete" if rng.chance(0.5) else "rollback"

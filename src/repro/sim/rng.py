@@ -42,9 +42,18 @@ class DeterministicRng:
         (PYTHONHASHSEED), which would make "the same seed" produce a
         different schedule on every interpreter launch.
         """
-        digest = hashlib.sha256(f"{self._seed}\x00{label}".encode()).digest()
-        child_seed = int.from_bytes(digest[:4], "big") & 0x7FFFFFFF
-        return DeterministicRng(child_seed)
+        return DeterministicRng.keyed(self._seed, label)
+
+    @classmethod
+    def keyed(cls, seed: int, label: str) -> "DeterministicRng":
+        """The substream ``DeterministicRng(seed).fork(label)`` yields,
+        without first building the parent's :class:`random.Random`.
+
+        For draws that are pure in ``(seed, label)`` and made once per
+        key (fault decisions, per-slot compression ratios).
+        """
+        digest = hashlib.sha256(f"{seed}\x00{label}".encode()).digest()
+        return cls(int.from_bytes(digest[:4], "big") & 0x7FFFFFFF)
 
     def uniform(self, lo: float, hi: float) -> float:
         """Uniform float in ``[lo, hi)``."""

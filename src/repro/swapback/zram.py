@@ -51,12 +51,12 @@ class CompressedBackend(SwapBackend):
     def compressed_size(self, slot: int) -> int:
         """Compressed bytes of the page stored in ``slot``.
 
-        Pure in (seed, slot): a fresh RNG is forked per draw, so the
+        Pure in (seed, slot): a fresh RNG is keyed per draw, so the
         same seed reproduces the same size whatever order slots are
         stored or probed in.
         """
         cfg = self.cfg
-        rng = DeterministicRng(self._ratio_seed).fork(f"ratio:{slot}")
+        rng = DeterministicRng.keyed(self._ratio_seed, f"ratio:{slot}")
         ratio = rng.uniform(
             cfg.compression_ratio_mean - cfg.compression_ratio_jitter,
             cfg.compression_ratio_mean + cfg.compression_ratio_jitter)

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from repro.errors import ConfigError, ExperimentError
+from repro.errors import ConfigError
 from repro.exec.spec import CellSpec, Sweep
 from repro.exec.store import ResultStore
 from repro.metrics.report import Table
@@ -40,13 +40,9 @@ def load_traced_cells(store: ResultStore, experiment_id: str, *,
     """Resolve one experiment's stored, traced cells."""
     # Deferred: the registry imports the experiment modules, which
     # reach back into exec/ (and would cycle at import time).
-    from repro.experiments.registry import EXPERIMENTS
+    from repro.experiments.registry import experiment
 
-    definition = EXPERIMENTS.get(experiment_id)
-    if definition is None:
-        known = ", ".join(sorted(EXPERIMENTS))
-        raise ExperimentError(
-            f"unknown experiment {experiment_id!r}; known: {known}")
+    definition = experiment(experiment_id)
     if definition.build_sweep is None:
         raise ConfigError(
             f"experiment {experiment_id!r} declares no cells; "

@@ -76,8 +76,8 @@ def test_plan_dataclass_math():
 
 
 def test_study_experiment_runs():
-    from repro.experiments.migration import run_migration_study
-    result = run_migration_study(scale=16)
+    from repro.experiments.registry import run_experiment
+    result = run_experiment("migration-study", scale=16)
     rows = result.series
     assert rows["vswapper"]["savings"] > 0.5
     assert rows["baseline"]["savings"] == pytest.approx(0.0)

@@ -24,10 +24,7 @@ from repro.exec.supervisor import (
     FailureKind,
     SupervisorConfig,
 )
-from repro.experiments.registry import (
-    register_cell_runner,
-    unregister_cell_runner,
-)
+from repro.experiments import registry
 from repro.experiments.runner import ConfigName, RunResult
 
 HARNESS = "supervised-fake"
@@ -51,10 +48,8 @@ def _behaving_cell(spec: CellSpec) -> RunResult:
 
 
 @pytest.fixture(autouse=True)
-def _harness():
-    register_cell_runner(HARNESS, _behaving_cell)
-    yield
-    unregister_cell_runner(HARNESS)
+def _harness(monkeypatch):
+    monkeypatch.setitem(registry.CELL_RUNNERS, HARNESS, _behaving_cell)
 
 
 def _spec(cell_id: str, behavior: str = "ok", value: float = 1.0,
@@ -70,13 +65,6 @@ def _fast(**overrides) -> SupervisorConfig:
                     backoff_cap=0.05, heartbeat=0.02)
     settings.update(overrides)
     return SupervisorConfig(**settings)
-
-
-def test_registering_an_existing_harness_is_refused():
-    from repro.errors import ExperimentError
-
-    with pytest.raises(ExperimentError, match="already registered"):
-        register_cell_runner(HARNESS, _behaving_cell)
 
 
 def test_healthy_cells_are_bit_identical_to_serial():

@@ -4,15 +4,18 @@ import pytest
 
 from repro.cli import build_parser, main
 from repro.errors import ExperimentError
+from repro.exec.store import ResultStore
 from repro.experiments.registry import (
     CELL_RUNNERS,
     EXPERIMENTS,
     cell_count,
     cell_runner,
     describe,
+    experiment,
     experiment_ids,
     run_experiment,
 )
+from repro.trace.tools import load_traced_cells
 
 #: Every table/figure in the paper's evaluation must be reproducible.
 PAPER_RESULTS = [
@@ -98,13 +101,37 @@ def test_cli_supervision_flag_validation():
 
 
 def test_every_declared_sweep_has_a_cell_runner():
+    cells_by_harness = {}
     for definition in EXPERIMENTS.values():
         if definition.build_sweep is None:
             continue
         sweep = definition.build_sweep(scale=8)
         assert sweep.cells, definition.experiment_id
+        assert sweep.experiment_id == definition.harness_id
         assert cell_runner(sweep.experiment_id) is \
-            CELL_RUNNERS[sweep.experiment_id]
+            CELL_RUNNERS[sweep.experiment_id] is definition.cell
+        # Rows sharing a harness id share one cell runner.
+        assert cells_by_harness.setdefault(
+            definition.harness_id, definition.cell) is definition.cell
+    assert set(cells_by_harness) == set(CELL_RUNNERS)
+
+
+def test_unknown_sweep_keyword_is_refused_before_any_cell_runs(
+        tmp_path, monkeypatch):
+    def must_not_run(spec):
+        raise AssertionError(f"cell {spec.cell_id} ran")
+
+    monkeypatch.setitem(CELL_RUNNERS, "fig10", must_not_run)
+    store = ResultStore(tmp_path / "store")
+    with pytest.raises(TypeError, match="windows"):
+        run_experiment("fig10", scale=8, windows=(1,), store=store)
+    assert not [path for path in tmp_path.rglob("*") if path.is_file()]
+
+
+def test_trace_tools_share_the_experiment_lookup(tmp_path):
+    assert experiment("fig9") is EXPERIMENTS["fig9"]
+    with pytest.raises(ExperimentError, match="unknown experiment 'fig99'"):
+        load_traced_cells(ResultStore(tmp_path), "fig99", scale=8)
 
 
 def test_cell_runner_unknown_harness():

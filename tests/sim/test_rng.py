@@ -1,5 +1,11 @@
 """Deterministic RNG behaviour."""
 
+import hashlib
+import random
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from repro.sim.rng import DeterministicRng
 
 
@@ -28,6 +34,32 @@ def test_fork_seed_is_stable_across_interpreters():
     per process, so a hash-derived child seed would give every
     interpreter launch a different schedule.  Pin the exact value."""
     assert DeterministicRng(7).fork("guest").seed == 98374863
+
+
+def _forked_random(seed: int, label: str) -> random.Random:
+    """Reference fork: the child stream derived from scratch, the way
+    forking has derived it since seeds were first pinned."""
+    digest = hashlib.sha256(f"{seed}\x00{label}".encode()).digest()
+    return random.Random(int.from_bytes(digest[:4], "big") & 0x7FFFFFFF)
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**63),
+       label=st.text(max_size=40))
+def test_keyed_draws_equal_forked_draws(seed, label):
+    """``keyed`` skips the parent stream but yields the identical child,
+    so switching a call site to it keeps every cached result valid."""
+    keyed = DeterministicRng.keyed(seed, label)
+    forked = DeterministicRng(seed).fork(label)
+    reference = _forked_random(seed, label)
+    assert keyed.seed == forked.seed
+    draws = [(keyed.uniform(0.0, 1.0), keyed.chance(0.5),
+              keyed.randint(0, 10**9)) for _ in range(3)]
+    assert draws == [(forked.uniform(0.0, 1.0), forked.chance(0.5),
+                      forked.randint(0, 10**9)) for _ in range(3)]
+    assert draws == [(reference.uniform(0.0, 1.0),
+                      reference.random() < 0.5,
+                      reference.randint(0, 10**9)) for _ in range(3)]
 
 
 def test_fork_labels_independent():

@@ -17,10 +17,7 @@ from repro.exec.executor import (
 )
 from repro.exec.spec import CellSpec
 from repro.exec.supervisor import CellSupervisor
-from repro.experiments.registry import (
-    register_cell_runner,
-    unregister_cell_runner,
-)
+from repro.experiments import registry
 from repro.experiments.runner import ConfigName, RunResult
 from repro.faults.plan import default_fault_config
 from repro.machine import Machine
@@ -41,11 +38,10 @@ def _probe_cell(spec: CellSpec) -> RunResult:
 
 
 @pytest.fixture
-def probe():
-    register_cell_runner(PROBE, _probe_cell)
-    yield [CellSpec(experiment_id=PROBE, cell_id=f"c{i}", scale=1)
-           for i in range(2)]
-    unregister_cell_runner(PROBE)
+def probe(monkeypatch):
+    monkeypatch.setitem(registry.CELL_RUNNERS, PROBE, _probe_cell)
+    return [CellSpec(experiment_id=PROBE, cell_id=f"c{i}", scale=1)
+            for i in range(2)]
 
 
 def test_run_context_installs_and_restores_the_previous_context():
@@ -119,21 +115,19 @@ def test_rejects_an_invalid_field(fields, match):
         RunContext(**fields)
 
 
-def test_execute_cell_restores_the_context():
+def test_execute_cell_restores_the_context(monkeypatch):
     """The runner sees the cell's own backend beside the run's
     observational fields; the run's context comes back afterwards."""
     outer = RunContext(swap_backend="ssd", paranoid=True)
     seen = []
-    register_cell_runner("context-recorder", lambda spec: (
-        seen.append(current_context()) or _probe_cell(spec)))
-    try:
-        with run_context(outer):
-            result = execute_cell(CellSpec(
-                experiment_id="context-recorder", cell_id="nvme", scale=1,
-                backend="nvme"))
-            assert current_context() is outer
-    finally:
-        unregister_cell_runner("context-recorder")
+    monkeypatch.setitem(registry.CELL_RUNNERS, "context-recorder",
+                        lambda spec: (seen.append(current_context())
+                                      or _probe_cell(spec)))
+    with run_context(outer):
+        result = execute_cell(CellSpec(
+            experiment_id="context-recorder", cell_id="nvme", scale=1,
+            backend="nvme"))
+        assert current_context() is outer
     assert result.counters["audited"] == 1
     assert seen == [RunContext(swap_backend="nvme", paranoid=True)]
 

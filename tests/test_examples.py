@@ -1,8 +1,11 @@
 """The shipped examples must run and print their headline claims."""
 
+import importlib.util
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 EXAMPLES = Path(__file__).parent.parent / "examples"
 
@@ -13,6 +16,26 @@ def run_example(name: str) -> str:
         capture_output=True, text=True, timeout=300)
     assert process.returncode == 0, process.stderr
     return process.stdout
+
+
+@pytest.mark.parametrize("path", sorted(EXAMPLES.glob("*.py")),
+                         ids=lambda path: path.name)
+def test_every_example_imports(path):
+    """Each example guards ``__main__``, so importing it resolves every
+    library name it uses without running it: an API rename cannot
+    leave an example broken unnoticed."""
+    spec = importlib.util.spec_from_file_location(
+        f"example_{path.stem}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    assert callable(module.main)
+
+
+def test_balloon_vs_spike_runs_to_its_conclusion():
+    out = run_example("balloon_vs_spike.py")
+    assert "spike workload finished" in out
+    assert out.rstrip().endswith(
+        "The balloon trails the spike; VSwapper cheapens the window.")
 
 
 def test_quickstart_runs_and_orders_configs():
