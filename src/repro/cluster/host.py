@@ -38,7 +38,6 @@ from repro.host.hypervisor import Hypervisor
 from repro.host.qemu import QemuProcess
 from repro.host.vm import Vm
 from repro.mem.frames import FramePool
-from repro.mem.page import AnonContent
 from repro.metrics.counters import Counters
 from repro.sim.engine import Engine
 from repro.sim.ops import WritePattern
@@ -312,13 +311,11 @@ class Host:
         touch_pages = int(max(0, len(guest.free_list) - keep_free) * fraction)
         if touch_pages > 0:
             guest.anon.commit("boot-history", touch_pages)
-            for index in range(touch_pages):
-                gpa = guest._alloc_gpa()
-                self.hypervisor.overwrite_page(
-                    vm, gpa, AnonContent.fresh(),
-                    WritePattern.FULL_SEQUENTIAL)
-                guest.anon.place_in_memory("boot-history", index, gpa)
-                guest.scanner.note_resident(gpa, named=False)
+            # Written, never read back: no guest costs (they are reset
+            # below anyway) and no referenced bits.
+            guest._demand_zero("boot-history", range(touch_pages), True,
+                               WritePattern.FULL_SEQUENTIAL, (),
+                               note_access=False)
             released, slots = guest.anon.release_region("boot-history")
             for gpa in released:
                 guest.scanner.note_evicted(gpa)

@@ -7,9 +7,22 @@ holes and are reused first-fit-by-run.  Decayed swap sequentiality
 emerges from the stragglers: pages brought in by readahead but never
 touched keep their old slots, so reusable holes fragment over time and
 eviction batches are increasingly scattered across slot generations.
+
+Run allocation asks for the lowest-start hole at least ``n`` long, and
+a decayed area holds hundreds of holes, so the query runs over an index
+by length: the lengths in ascending order and, per length, a min-heap
+of hole starts.  Frees outnumber run allocations by an order of
+magnitude, so a free only notes the start of the hole it leaves; the
+next query files the noted holes into the heaps and visits just the
+lengths >= ``n``.  Entries go stale as holes merge or are carved: one
+is live while ``_holes[start]`` still equals its length, and stale ones
+are dropped when they reach a heap's top or the index is rebuilt.
 """
 
 from __future__ import annotations
+
+from bisect import bisect_left, insort
+from heapq import heapify, heappop, heappush
 
 from repro.disk.geometry import DiskRegion
 from repro.errors import DiskError
@@ -35,6 +48,15 @@ class HostSwapArea:
         self._holes: dict[int, int] = {}
         #: end (start+length) -> start, for O(1) coalescing.
         self._hole_ends: dict[int, int] = {}
+        #: length -> min-heap of hole starts filed at that length.
+        self._starts_by_length: dict[int, list[int]] = {}
+        #: Keys of ``_starts_by_length``, ascending.
+        self._lengths: list[int] = []
+        #: Starts of holes made since the index was last brought up
+        #: to date (some may have merged away since).
+        self._new_holes: list[int] = []
+        #: Entries across all heaps, stale ones included.
+        self._index_entries = 0
         #: Everything at/after the frontier has never been used.
         self._frontier = 0
         self._allocated: set[int] = set()
@@ -87,10 +109,7 @@ class HostSwapArea:
             raise DiskError(
                 f"swap budget exceeded: {self.used_slots} used + {n} "
                 f"requested > budget of {self.budget_slots} slots")
-        best_start = None
-        for start, length in self._holes.items():
-            if length >= n and (best_start is None or start < best_start):
-                best_start = start
+        best_start = self._lowest_hole(n)
         if best_start is not None:
             return self._carve(best_start, n)
         if self._frontier + n <= self.size_slots:
@@ -108,18 +127,83 @@ class HostSwapArea:
         """Allocate a single slot (lowest hole first, then frontier)."""
         return self.allocate_run(1)[0]
 
+    def _lowest_hole(self, n: int) -> int | None:
+        """Start of the lowest hole at least ``n`` slots long."""
+        self._file_new_holes()
+        holes = self._holes
+        by_length = self._starts_by_length
+        lengths = self._lengths
+        best = None
+        i = bisect_left(lengths, n)
+        while i < len(lengths):
+            length = lengths[i]
+            if self._live_top(length) is None:
+                del lengths[i]
+                continue
+            start = by_length[length][0]
+            if best is None or start < best:
+                best = start
+            i += 1
+        return best
+
     def _largest_fit(self, want: int) -> int:
         """Largest run length <= want available anywhere."""
-        best = 0
-        for length in self._holes.values():
-            best = max(best, min(length, want))
-            if best == want:
-                return best
+        self._file_new_holes()
+        lengths = self._lengths
+        while lengths and self._live_top(lengths[-1]) is None:
+            lengths.pop()
+        best = min(lengths[-1], want) if lengths else 0
         if self._frontier < self.size_slots:
             best = max(best, min(want, self.size_slots - self._frontier))
         if best == 0:
             raise DiskError("host swap area exhausted")
         return best
+
+    def _live_top(self, length: int) -> int | None:
+        """Lowest live start filed under ``length``; drops the heap
+        (the caller drops the length) when none is left."""
+        heap = self._starts_by_length[length]
+        holes = self._holes
+        while heap and holes.get(heap[0]) != length:
+            heappop(heap)
+            self._index_entries -= 1
+        if heap:
+            return heap[0]
+        del self._starts_by_length[length]
+        return None
+
+    def _file_new_holes(self) -> None:
+        """Bring the length index up to date with the noted holes."""
+        new_holes = self._new_holes
+        if not new_holes:
+            return
+        holes = self._holes
+        if self._index_entries + len(new_holes) > 2 * len(holes) + 64:
+            # Mostly stale: rebuild from the live holes (amortized O(1)
+            # per hole made).
+            by_length: dict[int, list[int]] = {}
+            for start, length in holes.items():
+                by_length.setdefault(length, []).append(start)
+            for heap in by_length.values():
+                heapify(heap)
+            self._starts_by_length = by_length
+            self._lengths = sorted(by_length)
+            self._index_entries = len(holes)
+            new_holes.clear()
+            return
+        by_length = self._starts_by_length
+        for start in new_holes:
+            length = holes.get(start)
+            if length is None:
+                continue  # merged into its left neighbour since
+            heap = by_length.get(length)
+            if heap is None:
+                by_length[length] = [start]
+                insort(self._lengths, length)
+            else:
+                heappush(heap, start)
+            self._index_entries += 1
+        new_holes.clear()
 
     def _carve(self, start: int, n: int) -> list[int]:
         length = self._holes.pop(start)
@@ -128,6 +212,7 @@ class HostSwapArea:
             new_start = start + n
             self._holes[new_start] = length - n
             self._hole_ends[start + length] = new_start
+            self._new_holes.append(new_start)
         return self._take(start, n)
 
     def _take(self, start: int, n: int) -> list[int]:
@@ -160,6 +245,7 @@ class HostSwapArea:
             length += right_len
         self._holes[start] = length
         self._hole_ends[start + length] = start
+        self._new_holes.append(start)
 
     # ------------------------------------------------------------------
     # geometry

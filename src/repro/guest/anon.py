@@ -76,13 +76,23 @@ class GuestAnonMemory:
 
     def place_in_memory(self, name: str, index: int, gpa: int) -> None:
         """Record that page ``index`` of ``name`` now lives at ``gpa``."""
-        state = self.region(name).pages[index]
-        if state.location is PageLocation.MEMORY:
-            raise GuestError(
-                f"page {index} of {name!r} already in memory")
-        state.location = PageLocation.MEMORY
-        state.where = gpa
-        self._by_gpa[gpa] = (name, index)
+        self.place_run(name, (index,), (gpa,))
+
+    def place_run(self, name: str, indices, gpas) -> None:
+        """Record that page ``indices[i]`` of ``name`` now lives at
+        ``gpas[i]``, for each ``i``."""
+        region = self.region(name)
+        pages = region.pages
+        by_gpa = self._by_gpa
+        memory = PageLocation.MEMORY
+        for index, gpa in zip(indices, gpas):
+            state = pages[index]
+            if state.location is memory:
+                raise GuestError(
+                    f"page {index} of {name!r} already in memory")
+            state.location = memory
+            state.where = gpa
+            by_gpa[gpa] = (name, index)
 
     def move_to_swap(self, gpa: int, slot: int) -> None:
         """Record guest swap-out of the anon page at ``gpa``."""

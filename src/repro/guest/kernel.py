@@ -281,19 +281,26 @@ class GuestKernel:
         present = ept._present
         hw_accessed = ept._accessed
         preventer = vm.preventer
-        for index in range(op.start, op.start + op.npages, op.stride):
+        guest_costs = self._demand_zero_costs(touch_cost)
+        indices = range(op.start, op.start + op.npages, op.stride)
+        position = 0
+        count = len(indices)
+        while position < count:
+            index = indices[position]
             state = pages[index]
             location = state.location
             if location is unmaterialized:
-                # Demand-zero allocation: a whole-page overwrite.
-                gpa = self._alloc_gpa()
-                content = AnonContent.fresh() if write else ZERO
-                self.host.overwrite_page(
-                    vm, gpa, content, WritePattern.FULL_SEQUENTIAL)
-                costs.cpu_seconds = costs.cpu_seconds + self.cfg.zero_page_cost
-                self.anon.place_in_memory(op.region, index, gpa)
-                self.scanner.note_resident(gpa, named=False)
-            elif location is guest_swap:
+                # Demand-zero allocation: whole-page overwrites, one run
+                # over every unmaterialized page in a row.
+                end = position + 1
+                while (end < count
+                       and pages[indices[end]].location is unmaterialized):
+                    end += 1
+                self._demand_zero(op.region, indices[position:end], write,
+                                  WritePattern.FULL_SEQUENTIAL, guest_costs)
+                position = end
+                continue
+            if location is guest_swap:
                 gpa = self._guest_swap_in(op.region, index, state.where)
                 if write:
                     touch_page(vm, gpa, True, AnonContent.fresh())
@@ -309,33 +316,93 @@ class GuestKernel:
             note_access(gpa)
             if touch_cost:
                 costs.cpu_seconds = costs.cpu_seconds + touch_cost
+            position += 1
 
     def _overwrite_anon(self, op: Overwrite) -> None:
         region = self.anon.region(op.region)
-        for index in range(op.start, op.start + op.npages):
-            state = region.pages[index]
-            content = AnonContent.fresh()
-            if state.location is PageLocation.UNMATERIALIZED:
-                gpa = self._alloc_gpa()
-                self.host.overwrite_page(self.vm, gpa, content, op.pattern)
-                self.anon.place_in_memory(op.region, index, gpa)
-                self.scanner.note_resident(gpa, named=False)
-            elif state.location is PageLocation.GUEST_SWAP:
-                # Overwriting a guest-swapped page: the guest allocates a
-                # fresh frame and abandons the swap copy.
+        pages = region.pages
+        guest_costs = self._demand_zero_costs(op.touch_cost)
+        unmaterialized = PageLocation.UNMATERIALIZED
+        index = op.start
+        end = op.start + op.npages
+        while index < end:
+            state = pages[index]
+            if state.location is PageLocation.GUEST_SWAP:
+                # Overwriting a guest-swapped page: the guest abandons
+                # the swap copy and allocates a fresh frame, so the page
+                # starts a demand-zero run.
                 self.gswap.free(state.where)
-                state.location = PageLocation.UNMATERIALIZED
-                gpa = self._alloc_gpa()
-                self.host.overwrite_page(self.vm, gpa, content, op.pattern)
-                self.anon.place_in_memory(op.region, index, gpa)
-                self.scanner.note_resident(gpa, named=False)
-            else:
-                gpa = state.where
-                self.host.overwrite_page(self.vm, gpa, content, op.pattern)
+                state.location = unmaterialized
+            if state.location is unmaterialized:
+                stop = index + 1
+                while stop < end and pages[stop].location is unmaterialized:
+                    stop += 1
+                self._demand_zero(op.region, range(index, stop), True,
+                                  op.pattern, guest_costs)
+                index = stop
+                continue
+            gpa = state.where
+            self.host.overwrite_page(
+                self.vm, gpa, AnonContent.fresh(), op.pattern)
             self._note_access(gpa)
-            self.vm.costs.cpu(self.cfg.zero_page_cost)
-            if op.touch_cost:
-                self.vm.costs.cpu(op.touch_cost)
+            for charge in guest_costs:
+                self.vm.costs.cpu(charge)
+            index += 1
+
+    def _demand_zero_costs(self, touch_cost: float) -> tuple[float, ...]:
+        """The guest's own per-page CPU charges for a demand-zero page,
+        in charge order: zeroing, then consuming."""
+        zero_cost = self.cfg.zero_page_cost
+        if zero_cost < 0 or touch_cost < 0:
+            raise GuestError(
+                f"negative page cost: zero {zero_cost}, touch {touch_cost}")
+        return tuple(cost for cost in (zero_cost, touch_cost) if cost)
+
+    def _demand_zero(self, region_name: str, indices: range, write: bool,
+                     pattern: WritePattern, guest_costs: tuple[float, ...],
+                     *, note_access: bool = True) -> None:
+        """Materialize unmaterialized pages ``indices`` of a region.
+
+        Each page gets a fresh GPA and a whole-page overwrite (fresh
+        anonymous content for a write, zeroes for a read), then joins
+        the guest's anon clock list.  The pages go to the host as
+        :meth:`~repro.host.hypervisor.Hypervisor.overwrite_run`
+        segments that end at the free-list headroom, so every
+        allocation but a segment's first is free of guest reclaim:
+        reclaim, and the disk writes it issues, land between the same
+        host operations as with one page at a time.  The host adds
+        ``guest_costs`` to each page after its own charges.
+        """
+        vm = self.vm
+        free_list = self.free_list
+        free_min = self._free_min
+        floor = free_min if free_min > 0 else 0
+        overwrite_run = self.host.overwrite_run
+        place_run = self.anon.place_run
+        anon_entries = self.scanner.anon_list._entries
+        accessed_update = self._accessed.update
+        fresh_run = AnonContent.fresh_run
+        done = 0
+        total = len(indices)
+        while done < total:
+            headroom = len(free_list) - floor
+            stop = done + (headroom if headroom > 1 else 1)
+            if stop > total:
+                stop = total
+            gpas = self._alloc_gpas(stop - done)
+            contents = (fresh_run(len(gpas)) if write
+                        else [ZERO] * len(gpas))
+            overwrite_run(vm, gpas, contents, pattern, guest_costs)
+            place_run(region_name, indices[done:stop], gpas)
+            for gpa in gpas:
+                # note_resident(gpa, named=False), inlined.
+                if gpa in anon_entries:
+                    anon_entries.move_to_end(gpa)
+                else:
+                    anon_entries[gpa] = None
+            if note_access:
+                accessed_update(gpas)
+            done = stop
 
     def _guest_swap_in(self, region_name: str, index: int, slot: int) -> int:
         """Fault an anon page back from the guest's own swap device."""
@@ -365,9 +432,14 @@ class GuestKernel:
     # ------------------------------------------------------------------
 
     def _alloc_gpa(self) -> int:
-        """Take a frame from the guest free list, reclaiming if low.
+        """Take one frame from the guest free list (see :meth:`_alloc_gpas`)."""
+        return self._alloc_gpas(1)[0]
 
-        Reuse is LIFO-with-a-window: the page comes from a random slot
+    def _alloc_gpas(self, n: int, taken: list[int] | None = None
+                    ) -> list[int]:
+        """Take ``n`` frames from the guest free list, reclaiming if low.
+
+        Reuse is LIFO-with-a-window: each page comes from a random slot
         among the last ``allocator_window`` freed entries.  Hot (LIFO)
         reuse mirrors Linux's per-CPU page lists -- recently freed
         frames are exactly the ones the host has most likely swapped
@@ -375,38 +447,68 @@ class GuestKernel:
         into stale and false swap reads.  The window adds the buddy
         allocator's coalesce/split disorder, which is what defeats the
         host's swap readahead on those reads.
+
+        The result equals ``n`` single-page allocations -- the same
+        GPAs, draws, and reclaim points -- but pays the watermark check
+        once per segment: while the free list stays above
+        ``derived_free_min`` no allocation can reclaim, so the pages up
+        to that headroom are drawn in one tight loop.  GPAs are
+        appended to ``taken`` (a new list by default) as they are
+        drawn, so a caller still holds the pages taken before a
+        mid-run OOM kill.
         """
+        if taken is None:
+            taken = []
+        take = taken.append
         free_list = self.free_list
-        if len(free_list) <= self._free_min:
-            want = self._free_target - len(free_list)
-            if want > 0:
-                self._guest_reclaim(want)
-        if not free_list:
-            self._guest_reclaim(1)
-        if not free_list:
-            self._oom("guest out of memory with nothing reclaimable")
-        n = len(free_list)
-        window = self._alloc_window
-        if window > n:
-            window = n
-        if window > 1:
+        pop = free_list.pop
+        free_min = self._free_min
+        # Below this many free pages the next allocation may reclaim.
+        floor = free_min if free_min > 0 else 0
+        max_window = self._alloc_window
+        getrandbits = self._getrandbits
+        while n > 0:
+            size = len(free_list)
+            if size <= floor:
+                if size <= free_min:
+                    want = self._free_target - size
+                    if want > 0:
+                        self._guest_reclaim(want)
+                if not free_list:
+                    self._guest_reclaim(1)
+                if not free_list:
+                    self._oom("guest out of memory with nothing reclaimable")
+                size = len(free_list)
+                segment = 1
+            else:
+                segment = size - floor if size - floor < n else n
+            n -= segment
+            stop = size - segment
             # randint(1, w) == 1 + _randbelow(w), and _randbelow is
             # rejection sampling over getrandbits -- replicated inline
-            # so the draw sequence is identical.
-            k = window.bit_length()
-            getrandbits = self._getrandbits
-            r = getrandbits(k)
-            while r >= window:
-                r = getrandbits(k)
-            index = n - 1 - r
-            free_list[index], free_list[-1] = (
-                free_list[-1], free_list[index])
-        return free_list.pop()
+            # so the draw sequence is identical.  The window is
+            # min(allocator_window, free pages) at each draw; taking the
+            # drawn entry and moving the last into its place equals
+            # swapping the two and popping.
+            for size in range(size, stop, -1):
+                window = max_window if max_window < size else size
+                if window > 1:
+                    k = window.bit_length()
+                    r = getrandbits(k)
+                    while r >= window:
+                        r = getrandbits(k)
+                    if r:
+                        index = size - 1 - r
+                        take(free_list[index])
+                        free_list[index] = pop()
+                        continue
+                take(pop())
+        return taken
 
     def _guest_reclaim(self, want: int) -> None:
         result = self.scanner.pick_victims(want)
         swap_victims: list[int] = []
-        for gpa, _named in result.victims:
+        for gpa in result.victims:
             descriptor = self.cache.describe(gpa)
             if descriptor is not None:
                 if descriptor.dirty:
@@ -488,19 +590,20 @@ class GuestKernel:
                 f"over-ballooning: {available} pages left for a workload "
                 f"needing {self.workload_min_resident}")
         taken_gpas: list[int] = []
-        for _ in range(npages):
-            gpa = self._alloc_gpa()
-            self.balloon_pinned.add(gpa)
-            taken_gpas.append(gpa)
+        try:
+            self._alloc_gpas(npages, taken_gpas)
+        finally:
+            # Pages taken before an OOM kill stay pinned, as they would
+            # be had each been pinned as it was taken.
+            self.balloon_pinned.update(taken_gpas)
         self.host.balloon_pin(self.vm, taken_gpas)
         self.vm.counters.balloon_inflated_pages += len(taken_gpas)
         return len(taken_gpas)
 
     def deflate(self, npages: int) -> int:
         """Release up to ``npages`` pinned pages back to the guest."""
-        released = []
-        for _ in range(min(npages, self.balloon_size)):
-            released.append(self.balloon_pinned.pop())
+        pop = self.balloon_pinned.pop
+        released = [pop() for _ in range(min(npages, self.balloon_size))]
         if released:
             self.host.balloon_unpin(self.vm, released)
             self.free_list.extend(released)

@@ -129,24 +129,108 @@ class Hypervisor:
         """The guest overwrites ``gpa`` wholesale, old content unwanted.
 
         This is the false-swap-read trigger: zeroing, COW, page
-        migration (Section 3, "False Swap Reads").
+        migration (Section 3, "False Swap Reads").  A one-page
+        :meth:`overwrite_run`.
+        """
+        self.overwrite_run(vm, (gpa,), (new_content,), pattern,
+                           context=context)
+
+    def overwrite_run(self, vm: Vm, gpas, contents, pattern: WritePattern,
+                      guest_costs: tuple[float, ...] = (),
+                      context: str = "guest") -> None:
+        """The guest overwrites each page of ``gpas`` wholesale, in order.
+
+        ``contents[i]`` becomes the content of ``gpas[i]``.  After the
+        host's own charges for a page, the guest's per-page CPU charges
+        ``guest_costs`` are added to ``vm.costs`` one by one, so the
+        float sum is the one a page-at-a-time caller would build.
+
+        A page with no old content anywhere -- not EPT-present, not in
+        the swap cache, not host-swapped, not known to the Mapper -- is
+        a minor fault mapped inline over the EPT bitmaps, the frame
+        pool and the anon clock list (the way :meth:`_evict_batch`
+        unmaps).  That is nearly every page of a demand-zero run.
+        Every other page takes :meth:`_overwrite_backed`.  Each page is
+        classified when its turn comes: reclaim for an earlier page of
+        the run may have swapped out a later one.
         """
         preventer = vm.preventer
-        if preventer is not None and preventer._emulated:
-            self._poll_preventer(vm)
+        ept = vm.ept
+        present = ept._present
+        accessed = ept._accessed
+        dirty = ept._dirty
+        swap_cache = vm.swap_cache
+        swap_slots = vm.swap_slots
+        mapper = vm.mapper
+        tracked = mapper._by_gpa if mapper is not None else None
+        content_map = vm.content
+        frames = self.frames
+        entries = vm.scanner.anon_list._entries
+        qemu_resident = vm.qemu.resident
+        limit = vm.resident_limit
+        costs = vm.costs
+        fault_cost = self.cfg.ept_fault_cost
+        minor_faults = 0
+        try:
+            for gpa, content in zip(gpas, contents):
+                if preventer is not None and preventer._emulated:
+                    self._poll_preventer(vm)
+                # A swap-cache page keeps its slot, so ``swap_slots``
+                # covers it too.
+                if ((gpa < ept._size and present[gpa]) or gpa in swap_slots
+                        or (tracked is not None and gpa in tracked)):
+                    self._overwrite_backed(vm, gpa, content, pattern,
+                                           context)
+                else:
+                    # Minor fault (``_map_fresh``), then the store.
+                    if ((limit is not None
+                         and ept._resident + len(qemu_resident)
+                         + len(swap_cache) >= limit)
+                            or frames._used >= frames.total_frames):
+                        self._make_room(vm, 1, context)
+                    if gpa >= ept._size:
+                        ept._ensure(gpa)
+                    present[gpa] = 1
+                    accessed[gpa] = 1
+                    dirty[gpa] = 1
+                    ept._resident += 1
+                    frames._used += 1
+                    if gpa in entries:
+                        entries.move_to_end(gpa)
+                    else:
+                        entries[gpa] = None
+                    costs.cpu_seconds = costs.cpu_seconds + fault_cost
+                    minor_faults += 1
+                    if vm.swap_clean:
+                        self._invalidate_swap_clean(vm, gpa)
+                    if content is ZERO:
+                        content_map.pop(gpa, None)
+                    else:
+                        content_map[gpa] = content
+                for charge in guest_costs:
+                    costs.cpu_seconds = costs.cpu_seconds + charge
+        finally:
+            if minor_faults:
+                extra = vm.counters.extra
+                extra["minor_faults"] = (
+                    extra.get("minor_faults", 0) + minor_faults)
+
+    def _overwrite_backed(self, vm: Vm, gpa: int, new_content: PageContent,
+                          pattern: WritePattern, context: str) -> None:
+        """One page of :meth:`overwrite_run` whose old content still
+        exists: EPT-present, in the swap cache, host-swapped, or
+        discarded by the Mapper (possibly under preventer emulation)."""
         ept = vm.ept
         if ((gpa < ept._size and ept._present[gpa])
                 or (vm.swap_cache and self._promote_swap_cache(vm, gpa))):
             ept._accessed[gpa] = 1
             self._guest_store(vm, gpa, new_content)
             return
-        has_old = gpa in vm.swap_slots or self._is_discarded(vm, gpa)
-        if not has_old:
-            self._map_fresh(vm, gpa, context)
-            ept._accessed[gpa] = 1
-            self._guest_store(vm, gpa, new_content)
-            return
+        if not (gpa in vm.swap_slots or self._is_discarded(vm, gpa)):
+            raise ConsistencyError(
+                f"tracked-resident page {gpa:#x} is not EPT-mapped")
 
+        preventer = vm.preventer
         if preventer is not None:
             verdict = preventer.classify_overwrite(
                 gpa, pattern, self.clock.now)
@@ -338,38 +422,67 @@ class Hypervisor:
                 self._maybe_fault_mapper(vm, gpa)
 
     def balloon_pin(self, vm: Vm, gpas: list[int]) -> None:
-        """The guest balloon pinned ``gpas``: release their host backing."""
+        """The guest balloon pinned ``gpas``: release their host backing.
+
+        One hoisted loop over the whole inflation: the EPT unmap, the
+        clock-list removals and the preventer close are inlined, frames
+        are released once at the end, and only pages the Mapper tracks
+        pay a ``drop_gpa`` call.
+        """
+        preventer = vm.preventer
+        emulated = preventer._emulated if preventer is not None else None
+        ept = vm.ept
+        present = ept._present
+        size = ept._size
+        named_pop = vm.scanner.named_list._entries.pop
+        anon_pop = vm.scanner.anon_list._entries.pop
+        swap_cache = vm.swap_cache
+        swap_slots = vm.swap_slots
+        pending_swap = vm.pending_swap
+        swap_clean = vm.swap_clean
+        slot_owner = self.slot_owner
+        mapper = vm.mapper
+        tracked = mapper._by_gpa if mapper is not None else None
+        content = vm.content
+        ballooned_add = vm.ballooned.add
+        unmapped = 0
+        cache_drops = 0
         for gpa in gpas:
-            if vm.preventer is not None:
-                vm.preventer.force_close(gpa)
-            if vm.ept.is_present(gpa):
-                vm.ept.unmap_page(gpa)
-                self.frames.release(1)
-                vm.scanner.note_evicted(gpa)
-            if gpa in vm.swap_cache:
-                del vm.swap_cache[gpa]
-                self.frames.release(1)
-                vm.scanner.note_evicted(gpa)
-            slot = vm.swap_slots.pop(gpa, None)
+            if emulated:
+                emulated.pop(gpa, None)  # force_close
+            if 0 <= gpa < size and present[gpa]:
+                present[gpa] = 0
+                unmapped += 1
+                named_pop(gpa, None)
+                anon_pop(gpa, None)
+            if gpa in swap_cache:
+                del swap_cache[gpa]
+                cache_drops += 1
+                named_pop(gpa, None)
+                anon_pop(gpa, None)
+            slot = swap_slots.pop(gpa, None)
             if slot is not None:
-                vm.pending_swap.pop(gpa, None)
+                pending_swap.pop(gpa, None)
                 self.swap_area.free(slot)
                 if self._sb_tracks:
                     self.swapback.note_free(slot)
-                self.slot_owner.pop(slot, None)
-            self._invalidate_swap_clean(vm, gpa)
-            if vm.mapper is not None:
-                vm.mapper.drop_gpa(gpa)
-            vm.set_content(gpa, ZERO)
-            vm.ballooned.add(gpa)
+                slot_owner.pop(slot, None)
+            if swap_clean:
+                self._invalidate_swap_clean(vm, gpa)
+            if tracked is not None and gpa in tracked:
+                mapper.drop_gpa(gpa)
+            content.pop(gpa, None)
+            ballooned_add(gpa)
+        ept._resident -= unmapped
+        if unmapped or cache_drops:
+            self.frames.release(unmapped + cache_drops)
         if self.trace.enabled:
             self.trace.emit("balloon.pin", vm=vm.name, pages=len(gpas))
         vm.refresh_gauges()
 
     def balloon_unpin(self, vm: Vm, gpas: list[int]) -> None:
         """Balloon deflation: pages return to the guest, content undefined."""
-        for gpa in gpas:
-            vm.ballooned.discard(gpa)
+        vm.ballooned.difference_update(gpas)
         if self.trace.enabled:
             self.trace.emit("balloon.unpin", vm=vm.name, pages=len(gpas))
 
@@ -677,7 +790,7 @@ class Hypervisor:
         cache_drops = 0
         unmapped = 0
         discards = 0
-        for key, _was_named in victims:
+        for key in victims:
             if type(key) is tuple:
                 # Hypervisor code page: clean, file-backed -> dropped.
                 index = key[1]

@@ -31,6 +31,14 @@ class HostServices(Protocol):
         """The guest overwrites the whole page, old content unwanted."""
         ...
 
+    def overwrite_run(self, vm, gpas, contents, pattern: WritePattern,
+                      guest_costs: tuple[float, ...] = (),
+                      context: str = "guest") -> None:
+        """:meth:`overwrite_page` for each ``(gpa, content)`` pair in
+        order, adding the guest's per-page CPU charges ``guest_costs``
+        after the host's own."""
+        ...
+
     def virtio_read(self, vm, transfers, context: str = "host") -> None:
         """Explicit virtual disk read into guest pages."""
         ...

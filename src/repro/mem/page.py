@@ -18,7 +18,6 @@ pages) only in the disk image.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 from repro.disk.image import BlockVersion
 
@@ -43,16 +42,41 @@ ZERO = ZeroContent()
 _anon_tokens = itertools.count(1)
 
 
-@dataclass(frozen=True)
 class AnonContent:
-    """Opaque anonymous data (heap/stack bytes) with a unique token."""
+    """Opaque anonymous data (heap/stack bytes) with a unique token.
 
-    token: int
+    A plain slotted class rather than a frozen dataclass: demand-zero
+    allocation mints one per page, and the frozen ``__init__`` costs
+    several times a slotted one.  Equality, hash and repr match the
+    dataclass form.
+    """
+
+    __slots__ = ("token",)
+    __match_args__ = ("token",)
+
+    def __init__(self, token: int) -> None:
+        self.token = token
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is AnonContent:
+            return self.token == other.token
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.token,))
+
+    def __repr__(self) -> str:
+        return f"AnonContent(token={self.token!r})"
 
     @staticmethod
     def fresh() -> "AnonContent":
         """Mint a new, globally unique anonymous content identity."""
         return AnonContent(next(_anon_tokens))
+
+    @staticmethod
+    def fresh_run(n: int) -> "list[AnonContent]":
+        """``n`` fresh identities, in minting order."""
+        return list(map(AnonContent, itertools.islice(_anon_tokens, n)))
 
 
 #: Everything a page may logically contain.

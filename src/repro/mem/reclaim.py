@@ -22,8 +22,9 @@ from repro.trace.collector import NULL_TRACE
 class ScanResult:
     """Outcome of one victim-selection pass."""
 
-    #: Chosen victims, as (key, was_named) pairs in eviction order.
-    victims: list[tuple[Hashable, bool]] = field(default_factory=list)
+    #: Chosen victim keys in eviction order: named-list picks first,
+    #: then anon-list picks, then forced named-list picks.
+    victims: list[Hashable] = field(default_factory=list)
     #: Entries the clock hand examined (the pages-scanned metric).
     examined: int = 0
 
@@ -118,13 +119,13 @@ class ReclaimScanner:
         named_victims, examined = scan(
             self.named_list, min(from_named, len(self.named_list)))
         result.examined += examined
-        victims += [(key, True) for key in named_victims]
+        victims += named_victims
 
         remaining = want - len(victims)
         if remaining > 0 and len(self.anon_list):
             anon_victims, examined = scan(self.anon_list, remaining)
             result.examined += examined
-            victims += [(key, False) for key in anon_victims]
+            victims += anon_victims
 
         # Shortfall: escalate back to the named list without the
         # second-chance courtesy (reclaim priority escalation).  Only
@@ -134,7 +135,7 @@ class ReclaimScanner:
             forced, examined = self.named_list.scan(
                 remaining, self._unevictable)
             result.examined += examined
-            victims += [(key, True) for key in forced]
+            victims += forced
         if self.trace.enabled:
             self.trace.emit(
                 "reclaim.scan", vm=self.trace_vm,

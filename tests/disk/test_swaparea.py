@@ -179,3 +179,86 @@ def test_property_free_set_fully_reusable(freed):
     for _ in range(len(freed)):
         recovered.append(area.allocate())
     assert sorted(recovered) == sorted(freed)
+
+
+class LinearScanSwapArea(HostSwapArea):
+    """Oracle: the hole queries as a linear scan over every hole."""
+
+    def _lowest_hole(self, n):
+        best_start = None
+        for start, length in self._holes.items():
+            if length >= n and (best_start is None or start < best_start):
+                best_start = start
+        return best_start
+
+    def _largest_fit(self, want):
+        best = 0
+        for length in self._holes.values():
+            best = max(best, min(length, want))
+            if best == want:
+                return best
+        if self._frontier < self.size_slots:
+            best = max(best, min(want, self.size_slots - self._frontier))
+        if best == 0:
+            raise DiskError("host swap area exhausted")
+        return best
+
+
+def _index_consistent(area):
+    """Once filed, the length index holds every live hole."""
+    area._file_new_holes()
+    assert not area._new_holes
+    assert area._lengths == sorted(area._starts_by_length)
+    for start, length in area._holes.items():
+        assert start in area._starts_by_length[length]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(
+    st.tuples(st.booleans(), st.integers(min_value=1, max_value=24),
+              st.integers(min_value=0, max_value=10**6)),
+    min_size=1, max_size=200))
+def test_property_indexed_holes_match_linear_scan(ops):
+    """allocate_run/free hand out the same slots as the linear scan."""
+    pages = 96
+    area = make_area(pages=pages)
+    oracle = LinearScanSwapArea(
+        DiskRegion("swap", base_sector=0, size_sectors=pages * 8))
+    live: list[int] = []
+    for is_alloc, n, pick in ops:
+        if is_alloc and area.free_slots >= n:
+            got = area.allocate_run(n)
+            assert got == oracle.allocate_run(n)
+            live.extend(got)
+        elif live:
+            # Free a pseudo-random live slot so holes fragment.
+            for _ in range(min(n, len(live))):
+                slot = live.pop(pick % len(live))
+                area.free(slot)
+                oracle.free(slot)
+        assert area._holes == oracle._holes
+        assert area._frontier == oracle._frontier
+        assert area.high_watermark == oracle.high_watermark
+        for want in (1, 3, 8, 24):
+            if area.free_slots:
+                assert area._largest_fit(want) == oracle._largest_fit(want)
+    _index_consistent(area)
+
+
+def test_index_rebuilds_when_mostly_stale():
+    """A hole that keeps growing leaves one stale entry per length it
+    passed through; past the bound the index is rebuilt, and queries
+    still agree with the linear scan."""
+    area = make_area(pages=256)
+    oracle = LinearScanSwapArea(
+        DiskRegion("swap", base_sector=0, size_sectors=256 * 8))
+    assert area.allocate_run(200) == oracle.allocate_run(200)
+    index = area._starts_by_length
+    for slot in range(150):
+        area.free(slot)
+        oracle.free(slot)
+        assert area._lowest_hole(151) == oracle._lowest_hole(151)
+    assert area._starts_by_length is not index
+    assert area.allocate_run(120) == oracle.allocate_run(120)
+    assert area.allocate_run(40) == oracle.allocate_run(40)
+    _index_consistent(area)

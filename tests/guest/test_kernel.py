@@ -246,3 +246,35 @@ def test_unaligned_io_fraction_marks_transfers(machine):
     guest_cfg = small_guest_config(unaligned_io_fraction=1.0)
     vm = machine.create_vm(small_vm_config(guest=guest_cfg))
     assert not vm.guest._aligned()
+
+
+def test_inflate_oom_mid_run_keeps_taken_pages_pinned():
+    """An OOM kill partway through inflation leaves the pages taken so
+    far pinned, exactly as page-at-a-time inflation did."""
+    from repro.mem.page import AnonContent
+    from tests.host.overwrite_oracle import alloc_gpa
+
+    def build():
+        machine = Machine(small_machine_config())
+        vm = machine.create_vm(small_vm_config(guest=small_guest_config(
+            allocator_window=8, guest_swap_pages=16)))
+        guest = vm.guest
+        guest.anon.commit("heap", 2000)
+        for index in range(2000):
+            gpa = alloc_gpa(guest)
+            machine.hypervisor.touch_page(vm, gpa, True, AnonContent(index))
+            guest.anon.place_in_memory("heap", index, gpa)
+            guest.scanner.note_resident(gpa, named=False)
+        return vm, guest
+
+    vm, guest = build()
+    _, twin = build()
+    expected: list[int] = []
+    with pytest.raises(GuestOomKill):
+        for _ in range(3000):
+            expected.append(alloc_gpa(twin))
+    with pytest.raises(GuestOomKill):
+        guest.inflate(3000)
+    assert expected and guest.balloon_pinned == set(expected)
+    assert guest.free_list == twin.free_list
+    assert vm.counters.balloon_inflated_pages == 0

@@ -52,7 +52,7 @@ def test_referenced_dispatches_to_code_pages(vm):
     vm.qemu.accessed.add(3)
     vm.scanner.note_resident(key, named=True)
     result = vm.scanner.pick_victims(1)
-    assert result.victims == [(key, True)]
+    assert result.victims == [key]
     assert result.examined == 2
     assert 3 not in vm.qemu.accessed
 
@@ -61,7 +61,7 @@ def test_referenced_for_absent_gpa_is_false(vm):
     assert not referenced(vm, 0x777)
     vm.scanner.note_resident(0x777, named=False)
     result = vm.scanner.pick_victims(1)
-    assert result.victims == [(0x777, False)]
+    assert result.victims == [0x777]
     assert result.examined == 1
 
 
@@ -73,7 +73,7 @@ def test_dma_pin_blocks_eviction(vm):
         vm.scanner.note_resident(gpa, named=True)
     # Neither the clock pass nor escalation takes the pinned page.
     result = vm.scanner.pick_victims(2)
-    assert result.victims == [(0x11, True)]
+    assert result.victims == [0x11]
 
 
 def test_refresh_gauges_tracks_mapper(machine):

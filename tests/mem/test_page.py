@@ -36,3 +36,31 @@ def test_content_repr_forms():
 def test_contents_usable_as_dict_values():
     d = {1: ZERO, 2: AnonContent.fresh(), 3: BlockVersion(0, 1)}
     assert d[1] is ZERO
+
+
+def test_anon_content_matches_its_frozen_dataclass_form():
+    """The slotted class keeps the eq, hash and repr of the frozen
+    dataclass it replaced."""
+    import dataclasses
+
+    @dataclasses.dataclass(frozen=True)
+    class Reference:
+        token: int
+
+    for token in (0, 7, 2**40):
+        anon, ref = AnonContent(token), Reference(token)
+        assert hash(anon) == hash(ref)
+        assert repr(anon) == repr(ref).split("<locals>.")[-1].replace(
+            "Reference", "AnonContent")
+        assert anon == AnonContent(token) and anon != AnonContent(token + 1)
+    assert AnonContent(3) != 3 and AnonContent(3) != BlockVersion(3, 0)
+    assert len({AnonContent(1), AnonContent(1), AnonContent(2)}) == 2
+
+
+def test_fresh_run_mints_in_order():
+    first = AnonContent.fresh()
+    run = AnonContent.fresh_run(3)
+    last = AnonContent.fresh()
+    assert [c.token for c in run] == [first.token + 1, first.token + 2,
+                                      first.token + 3]
+    assert last.token == first.token + 4

@@ -48,8 +48,9 @@ def test_named_preference():
     for key in range(20):
         scanner.note_resident(("anon", key), named=False)
     result = scanner.pick_victims(4)
-    named_victims = [k for k, was_named in result.victims if was_named]
-    assert len(named_victims) == 3  # 0.75 * 4
+    # Named picks come first: 0.75 * 4 of them, then one anon pick.
+    assert result.victims == [("named", 0), ("named", 1), ("named", 2),
+                              ("anon", 0)]
 
 
 def test_all_from_named_when_anon_empty():
@@ -57,8 +58,8 @@ def test_all_from_named_when_anon_empty():
     for key in range(8):
         scanner.note_resident(key, named=True)
     result = scanner.pick_victims(4)
-    assert len(result.victims) == 4
-    assert all(was_named for _k, was_named in result.victims)
+    assert result.victims == [0, 1, 2, 3]
+    assert list(scanner.named_list) == [4, 5, 6, 7]
 
 
 def test_shortfall_escalates_to_named():
@@ -85,7 +86,7 @@ def test_examined_counts_rotations():
     for key in (1, 2, 3, 4):
         scanner.note_resident(key, named=False)
     result = scanner.pick_victims(1)
-    assert result.victims == [(3, False)]
+    assert result.victims == [3]
     assert result.examined == 3
 
 
@@ -96,7 +97,7 @@ def test_unevictable_pages_survive_even_escalation():
     for key in range(3):
         scanner.note_resident(("named", key), named=True)
     result = scanner.pick_victims(3)
-    victims = [k for k, _ in result.victims]
+    victims = result.victims
     assert ("named", 0) not in victims
     assert len(victims) == 2
 
@@ -119,7 +120,7 @@ def test_noise_perturbs_eviction_order(vm):
         for key in range(64):
             scanner.note_resident(key, named=False)
         result = scanner.pick_victims(32)
-        return [k for k, _ in result.victims]
+        return result.victims
 
     assert build(0.0) == list(range(32))
     assert build(0.5) != list(range(32))
@@ -143,4 +144,4 @@ def test_cold_insertion_evicted_first():
     scanner.note_resident(1, named=False)
     scanner.note_resident(2, named=False, cold=True)
     result = scanner.pick_victims(1)
-    assert result.victims == [(2, False)]
+    assert result.victims == [2]

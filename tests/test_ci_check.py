@@ -144,3 +144,35 @@ def test_payloads_failures(tmp_path, doc, match):
 def test_payloads_fail_on_an_empty_directory(tmp_path):
     with pytest.raises(ci_check.CheckFailed, match="no BENCH"):
         ci_check.check_payloads(_payloads(tmp_path / "empty", {}))
+
+
+BENCH_OK = (
+    "workload mapreduce: vswapper@10, balloon+vswap@10\n"
+    "  error_rate 0/4 = 0.0000\n"
+    '{"correct": true, "attempted": 4, "failed": 0, "metrics": {}}\n')
+
+
+def test_bench_accepts_a_correct_run(tmp_path, capsys):
+    assert ci_check.check_bench(BENCH_OK) == "bench OK: 4 runs, all correct"
+    log = tmp_path / "bench.log"
+    log.write_text(BENCH_OK)
+    assert ci_check.main(["bench", str(log)]) == 0
+    assert "bench OK" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("log, match", [
+    ("", "empty"),
+    ("  error_rate 0/4 = 0.0000\n", "not the JSON result"),
+    ('[1, 2]\n', "not a JSON object"),
+    ('{"correct": false, "attempted": 4, "failed": 1}', "not correct"),
+    ('{"correct": true, "attempted": 4, "failed": 2}', "2 of 4 runs failed"),
+    ('{"correct": true, "attempted": 0, "failed": 0}', "no runs"),
+    (BENCH_OK + "Traceback (most recent call last):\n", "not the JSON"),
+], ids=["empty", "no-json", "not-object", "incorrect", "failed", "no-runs",
+        "crashed-after"])
+def test_bench_failures(log, match, tmp_path):
+    with pytest.raises(ci_check.CheckFailed, match=match):
+        ci_check.check_bench(log)
+    path = tmp_path / "bench.log"
+    path.write_text(log)
+    assert ci_check.main(["bench", str(path)]) == 1

@@ -1,12 +1,13 @@
 """Checks the CI jobs run against sweep logs, result stores and
 benchmark payloads.
 
-Four subcommands::
+Five subcommands::
 
     python tools/ci_check.py resume LOG EXPERIMENT
     python tools/ci_check.py figures REF_DIR GOT_DIR [--require NAME]
     python tools/ci_check.py chaos FIRST_LOG RESUME_LOG
     python tools/ci_check.py payloads DIR
+    python tools/ci_check.py bench LOG
 
 ``resume`` reads the totals line ``run EXPERIMENT --resume`` printed
 (``EXPERIMENT`` may be ``all``) and demands that every cell came from
@@ -28,6 +29,12 @@ none: quarantined cells were never stored, so it may re-run those.
 into DIR: there is at least one, each carries an interpreter stamp,
 primitive suites (``hotpath``, ``swapback``) list their op timings,
 and figure payloads name their figure and hold per-cell timings.
+
+``bench`` reads the report ``perfbench/run.py`` printed: its last line
+must be the JSON result, with ``correct`` true, at least one attempted
+cell run and ``failed == 0``.  A cell that raised, a simulated counter
+that broke a workload check, or a renamed span boundary (which crashes
+every traced run) all fail it.
 
 Exits 0 with a one-line summary, or 1 with the first failed check.
 """
@@ -137,6 +144,29 @@ def check_payloads(directory: Path) -> str:
     return f"timings OK: {len(paths)} BENCH payloads"
 
 
+def check_bench(log: str) -> str:
+    """A benchmark run ended with a correct, failure-free result."""
+    lines = log.strip().splitlines()
+    if not lines:
+        raise CheckFailed("empty benchmark log")
+    try:
+        result = json.loads(lines[-1])
+    except ValueError:
+        raise CheckFailed("last line is not the JSON result") from None
+    if not isinstance(result, dict):
+        raise CheckFailed("last line is not a JSON object")
+    attempted = result.get("attempted", 0)
+    failed = result.get("failed")
+    if result.get("correct") is not True:
+        raise CheckFailed(f"benchmark not correct: {failed} of "
+                          f"{attempted} runs failed")
+    if failed != 0:
+        raise CheckFailed(f"{failed} of {attempted} runs failed")
+    if not attempted:
+        raise CheckFailed("benchmark attempted no runs")
+    return f"bench OK: {attempted} runs, all correct"
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     commands = parser.add_subparsers(dest="command", required=True)
@@ -152,6 +182,8 @@ def main(argv: list[str] | None = None) -> int:
     chaos.add_argument("resume", type=Path)
     payloads = commands.add_parser("payloads", help="BENCH payloads")
     payloads.add_argument("directory", type=Path)
+    bench = commands.add_parser("bench", help="a perfbench run was correct")
+    bench.add_argument("log", type=Path)
     args = parser.parse_args(argv)
     try:
         if args.command == "resume":
@@ -161,6 +193,8 @@ def main(argv: list[str] | None = None) -> int:
         elif args.command == "chaos":
             summary = check_chaos(args.first.read_text(),
                                   args.resume.read_text())
+        elif args.command == "bench":
+            summary = check_bench(args.log.read_text())
         else:
             summary = check_payloads(args.directory)
     except CheckFailed as failure:
