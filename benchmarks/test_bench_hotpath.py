@@ -24,9 +24,9 @@ import time
 import pytest
 
 from benchmarks.conftest import BENCH_SCALE, RESULTS_DIR, run_once
+from repro.cluster import Cluster
 from repro.disk.device import DiskDevice
 from repro.disk.latency import HddLatencyModel
-from repro.machine import Machine
 from repro.sim.clock import Clock
 from tests.conftest import small_machine_config, small_vm_config
 
@@ -72,18 +72,17 @@ def _best_of(measure) -> dict:
 
 
 def _fresh_vm(*, resident_limit_mib=None):
-    machine = Machine(small_machine_config())
-    vm = machine.create_vm(
+    cluster = Cluster(small_machine_config().as_cluster())
+    return cluster.create_vm(
         small_vm_config(resident_limit_mib=resident_limit_mib))
-    return machine, vm
 
 
 def test_bench_ept_fault(benchmark, hotpath_payload):
     """First-touch EPT fault: allocate a frame, map, charge the cost."""
 
     def measure():
-        machine, vm = _fresh_vm()
-        touch = machine.hypervisor.touch_page
+        vm = _fresh_vm()
+        touch = vm.host.hypervisor.touch_page
         start = time.perf_counter()
         for gpa in range(OPS):
             touch(vm, gpa, True)
@@ -98,9 +97,9 @@ def test_bench_clock_scan_step(benchmark, hotpath_payload):
     """One clock-hand examination (test-and-clear + rotate/take)."""
 
     def measure():
-        machine, vm = _fresh_vm()
+        vm = _fresh_vm()
         for gpa in range(OPS):
-            machine.hypervisor.touch_page(vm, gpa, True)
+            vm.host.hypervisor.touch_page(vm, gpa, True)
         # Every page's accessed bit is set, so the scan rotates the
         # whole list once before taking victims: examined >> victims.
         scanner = vm.scanner
@@ -118,9 +117,9 @@ def test_bench_swap_out_batch(benchmark, hotpath_payload):
     batch = OPS // 4
 
     def measure():
-        machine, vm = _fresh_vm(resident_limit_mib=2)
+        vm = _fresh_vm(resident_limit_mib=2)
         limit = vm.resident_limit
-        touch = machine.hypervisor.touch_page
+        touch = vm.host.hypervisor.touch_page
         for gpa in range(limit):
             touch(vm, gpa, True)
         start = time.perf_counter()

@@ -11,7 +11,7 @@ Run:  python examples/balloon_vs_spike.py
 """
 
 from repro import (
-    Machine,
+    Cluster,
     MachineConfig,
     GuestConfig,
     HostConfig,
@@ -20,6 +20,7 @@ from repro import (
     VmDriver,
 )
 from repro.balloon import BalloonManager, BalloonPolicy, ManagerConfig
+from repro.experiments.runner import run_to_completion
 from repro.metrics.timeline import Timeline
 from repro.sim.ops import Alloc, Compute, Touch
 from repro.units import mib_pages
@@ -84,12 +85,12 @@ class QuietThenSpike(Workload):
 
 
 def run(vswapper: VSwapperConfig):
-    machine = Machine(MachineConfig(host=HostConfig(
+    cluster = Cluster(MachineConfig(host=HostConfig(
         total_memory_pages=mib_pages(1600 / SCALE),
         swap_size_pages=mib_pages(8192 / SCALE),
-    )))
+    )).as_cluster())
     # A neighbour VM occupies most of the host.
-    neighbour = machine.create_vm(VmConfig(
+    neighbour = cluster.create_vm(VmConfig(
         name="neighbour",
         guest=GuestConfig(memory_pages=mib_pages(1536 / SCALE),
                           kernel_reserve_pages=mib_pages(16 / SCALE),
@@ -97,15 +98,15 @@ def run(vswapper: VSwapperConfig):
         vswapper=vswapper,
         image_size_pages=mib_pages(4096 / SCALE),
     ))
-    machine.boot_guest(neighbour, fraction=0.4)
+    neighbour.host.boot_guest(neighbour, fraction=0.4)
     # The neighbour serves a warm file cache; its balloon driver stays
     # responsive through its (light) activity.
     neighbour.guest.fs.create_file(
         "corpus", mib_pages(1200 / SCALE))
-    VmDriver(machine, neighbour, WarmFileServer(
+    VmDriver(neighbour, WarmFileServer(
         file_pages=mib_pages(1200 / SCALE), seconds=400.0))
 
-    vm = machine.create_vm(VmConfig(
+    vm = cluster.create_vm(VmConfig(
         name="spiker",
         guest=GuestConfig(memory_pages=mib_pages(1024 / SCALE),
                           kernel_reserve_pages=mib_pages(16 / SCALE),
@@ -113,13 +114,13 @@ def run(vswapper: VSwapperConfig):
         vswapper=vswapper,
         image_size_pages=mib_pages(4096 / SCALE),
     ))
-    machine.boot_guest(vm, fraction=0.3)
+    vm.host.boot_guest(vm, fraction=0.3)
 
     workload = QuietThenSpike(
         idle_seconds=30.0 / SCALE * 8,
         table_pages=mib_pages(700 / SCALE))
-    driver = VmDriver(machine, vm, workload)
-    BalloonManager(machine, ManagerConfig(
+    driver = VmDriver(vm, workload)
+    BalloonManager(vm.host, ManagerConfig(
         poll_interval=5.0,
         policy=BalloonPolicy(host_pressure_evictions=64)))
 
@@ -129,21 +130,19 @@ def run(vswapper: VSwapperConfig):
     timeline.register("demand", lambda: vm.guest.committed_pages())
     timeline.register(
         "host_swapins", lambda: vm.counters.guest_context_faults)
-    machine.engine.add_periodic(
-        2.0, lambda: timeline.sample_all(machine.now))
-    while not driver.done:
-        machine.engine.run(until=machine.now + 30.0)
-    machine.engine.stop()
-    return driver, machine, timeline
+    cluster.engine.add_periodic(
+        2.0, lambda: timeline.sample_all(cluster.now))
+    run_to_completion(cluster.engine, [driver], slice_seconds=30.0)
+    return driver, cluster, timeline
 
 
 def main() -> None:
     for label, vswapper in (("baseline fallback", VSwapperConfig.off()),
                             ("vswapper fallback", VSwapperConfig.full())):
-        driver, machine, timeline = run(vswapper)
+        driver, cluster, timeline = run(vswapper)
         times, balloon = timeline.series("balloon")
         _t, demand = timeline.series("demand")
-        totals = machine.aggregate_counters()
+        totals = cluster.aggregate_counters()
         print(f"=== {label}: spike workload finished in "
               f"{driver.runtime:.1f}s; machine-wide "
               f"{totals['swap_sectors_written']} swap sectors written, "

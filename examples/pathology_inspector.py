@@ -10,7 +10,7 @@ Run:  python examples/pathology_inspector.py
 """
 
 from repro import (
-    Machine,
+    Cluster,
     MachineConfig,
     GuestConfig,
     VmConfig,
@@ -25,8 +25,8 @@ SCALE = 4
 
 
 def run_config(vswapper: VSwapperConfig):
-    machine = Machine(MachineConfig())
-    vm = machine.create_vm(VmConfig(
+    cluster = Cluster(MachineConfig().as_cluster())
+    vm = cluster.create_vm(VmConfig(
         name="probe",
         guest=GuestConfig(
             memory_pages=mib_pages(512 / SCALE),
@@ -36,13 +36,13 @@ def run_config(vswapper: VSwapperConfig):
         vswapper=vswapper,
         resident_limit_pages=mib_pages(100 / SCALE),
     ))
-    machine.boot_guest(vm)
+    vm.host.boot_guest(vm)
     vm.guest.fs.create_file("sysbench.dat", mib_pages(200 / SCALE))
     workload = SysbenchThenAlloc(
         file_pages=mib_pages(200 / SCALE),
         alloc_pages=mib_pages(150 / SCALE))
-    driver = VmDriver(machine, vm, workload)
-    machine.run()
+    driver = VmDriver(vm, workload)
+    cluster.run()
     return driver, vm
 
 

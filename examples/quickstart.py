@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Quickstart: one overcommitted guest, with and without VSwapper.
 
-Builds a machine, gives a guest that believes it has 512 MB only
+Builds a one-host cluster, gives a guest that believes it has 512 MB only
 100 MB of actual memory, runs a sequential file read, and prints how
 uncooperative swapping behaves under each configuration -- the paper's
 Figure 3 scenario in a dozen lines of library code.
@@ -10,7 +10,7 @@ Run:  python examples/quickstart.py
 """
 
 from repro import (
-    Machine,
+    Cluster,
     MachineConfig,
     GuestConfig,
     VmConfig,
@@ -32,11 +32,11 @@ CONFIGS = [
 
 
 def run_one(label: str, vswapper: VSwapperConfig, ballooned: bool) -> None:
-    machine = Machine(MachineConfig())
+    cluster = Cluster(MachineConfig().as_cluster())   # one host
     guest_pages = mib_pages(512 / SCALE)
     actual_pages = mib_pages(100 / SCALE)
 
-    vm = machine.create_vm(VmConfig(
+    vm = cluster.create_vm(VmConfig(
         name="demo",
         guest=GuestConfig(
             memory_pages=guest_pages,
@@ -46,15 +46,15 @@ def run_one(label: str, vswapper: VSwapperConfig, ballooned: bool) -> None:
         vswapper=vswapper,
         resident_limit_pages=actual_pages,   # the cgroup-style grant
     ))
-    machine.boot_guest(vm)                   # uptime history
+    vm.host.boot_guest(vm)                   # uptime history
     if ballooned:
         # A cooperative guest: the balloon tells it the truth.
-        machine.apply_static_balloon(vm, guest_pages - actual_pages)
+        vm.host.apply_static_balloon(vm, guest_pages - actual_pages)
 
     vm.guest.fs.create_file("sysbench.dat", mib_pages(200 / SCALE))
-    driver = VmDriver(machine, vm, SysbenchFileRead(
+    driver = VmDriver(vm, SysbenchFileRead(
         file_pages=mib_pages(200 / SCALE), iterations=1))
-    machine.run()
+    cluster.run()
 
     counters = vm.counters
     print(f"{label:32s} runtime {driver.runtime:7.2f}s | "

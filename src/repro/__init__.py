@@ -8,23 +8,24 @@ two mechanisms -- the Swap Mapper and the False Reads Preventer.
 
 Quickstart::
 
-    from repro import (Machine, MachineConfig, VmConfig, GuestConfig,
+    from repro import (Cluster, MachineConfig, VmConfig, GuestConfig,
                        VSwapperConfig, VmDriver)
     from repro.workloads import SysbenchFileRead
     from repro.units import mib_pages
 
-    machine = Machine(MachineConfig())
-    vm = machine.create_vm(VmConfig(
+    cluster = Cluster(MachineConfig().as_cluster())   # one host
+    vm = cluster.create_vm(VmConfig(
         guest=GuestConfig(memory_pages=mib_pages(512)),
         vswapper=VSwapperConfig.full(),
         resident_limit_pages=mib_pages(100),
     ))
     vm.guest.fs.create_file("sysbench.dat", mib_pages(200))
-    driver = VmDriver(machine, vm, SysbenchFileRead())
-    machine.run()
+    driver = VmDriver(vm, SysbenchFileRead())
+    cluster.run()
     print(driver.runtime, vm.counters.snapshot())
 """
 
+from repro.cluster import Cluster
 from repro.config import (
     DiskConfig,
     GuestConfig,
@@ -46,13 +47,12 @@ from repro.errors import (
     ReproError,
     SimulationError,
 )
-from repro.machine import Machine
 
 __version__ = "1.0.0"
 
 __all__ = [
     "__version__",
-    "Machine",
+    "Cluster",
     "MachineConfig",
     "DiskConfig",
     "HostConfig",

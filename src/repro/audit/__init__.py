@@ -5,11 +5,10 @@ figure: an accounting bug that leaks frames or maps a swapped-out page
 produces plausible-looking numbers with nothing to flag them.  The
 auditor turns that silence into an error.  When the run context's
 ``paranoid`` field is set (:class:`~repro.context.RunContext`), every
-host -- the single-host :class:`~repro.machine.Machine` as well as each
-:class:`~repro.cluster.host.Host` of a cluster, which additionally
-installs a :class:`~repro.audit.cluster.ClusterInvariantAuditor` for
-the cross-host placement invariants -- installs
-an :class:`~repro.audit.auditor.InvariantAuditor` that re-checks the
+:class:`~repro.cluster.host.Host` installs an
+:class:`~repro.audit.auditor.InvariantAuditor`, and every cluster a
+:class:`~repro.audit.cluster.ClusterInvariantAuditor` for the
+cross-host placement invariants.  The host auditor re-checks the
 core invariants at operation boundaries -- the end of every reclaim
 batch and every workload phase mark -- and raises
 :class:`~repro.errors.InvariantViolation` on the first breach.
@@ -35,7 +34,7 @@ from repro.context import current_context
 
 
 def paranoid_enabled() -> bool:
-    """Whether machines should install the invariant auditor."""
+    """Whether hosts should install the invariant auditor."""
     return current_context().paranoid
 
 

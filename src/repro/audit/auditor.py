@@ -1,10 +1,8 @@
 """The invariant auditor installed by ``--paranoid`` runs.
 
-One auditor per host -- the single-host :class:`~repro.machine.Machine`
-or each :class:`~repro.cluster.host.Host` of a cluster, both exposing
-the same ``engine``/``frames``/``vms``/``hypervisor`` surface (cluster
-runs add :class:`~repro.audit.cluster.ClusterInvariantAuditor` for the
-cross-host checks).  Hooks fire it at
+One auditor per :class:`~repro.cluster.host.Host` (every cluster also
+installs a :class:`~repro.audit.cluster.ClusterInvariantAuditor` for
+the cross-host checks).  Hooks fire it at
 operation boundaries, where the simulator's state is supposed to be
 consistent: the hypervisor calls :meth:`InvariantAuditor.on_reclaim`
 after every eviction batch and the VM driver calls
@@ -29,8 +27,8 @@ from repro.core.mapper import TrackState
 from repro.errors import InvariantViolation
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.cluster.host import Host
     from repro.host.vm import Vm
-    from repro.machine import Machine
 
 #: Reclaim events between full structural walks.  Reclaim fires every
 #: batch (32 pages), so a stride keeps paranoid runs from turning
@@ -39,17 +37,17 @@ DEFAULT_RECLAIM_STRIDE = 64
 
 
 class InvariantAuditor:
-    """Re-checks machine-wide invariants at operation boundaries."""
+    """Re-checks host-wide invariants at operation boundaries."""
 
-    def __init__(self, machine: "Machine", *,
+    def __init__(self, host: "Host", *,
                  reclaim_stride: int = DEFAULT_RECLAIM_STRIDE,
                  label: str | None = None) -> None:
-        self.machine = machine
+        self.host = host
         #: Host name prefixed to violation sites on multi-host clusters
         #: (None on a single host, keeping messages byte-identical).
         self.label = label
         self.reclaim_stride = max(1, reclaim_stride)
-        self._last_time = machine.engine.now
+        self._last_time = host.engine.now
         self._reclaims_seen = 0
         #: Full structural walks performed (tests assert coverage).
         self.audits = 0
@@ -101,18 +99,18 @@ class InvariantAuditor:
         self._quick(where)
         self.audits += 1
         self._check_frame_conservation(where)
-        for vm in self.machine.vms:
+        for vm in self.host.vms:
             self._check_vm(vm, where)
 
     def _quick(self, where: str) -> None:
         self.quick_checks += 1
         self._check_clock(where)
-        problem = self.machine.frames.audit_error()
+        problem = self.host.frames.audit_error()
         if problem is not None:
             self._fail(where, problem)
 
     def _check_clock(self, where: str) -> None:
-        engine = self.machine.engine
+        engine = self.host.engine
         now = engine.now
         if now < self._last_time:
             self._fail(where, f"engine clock moved backwards: "
@@ -124,8 +122,8 @@ class InvariantAuditor:
                               f"{earliest} < now {now}")
 
     def _check_frame_conservation(self, where: str) -> None:
-        pool = self.machine.frames
-        attributed = sum(vm.resident_pages for vm in self.machine.vms)
+        pool = self.host.frames
+        attributed = sum(vm.resident_pages for vm in self.host.vms)
         if attributed != pool.used:
             self._fail(where, f"frame accounting drift: VMs hold "
                               f"{attributed} frames, pool says {pool.used}")
@@ -135,7 +133,7 @@ class InvariantAuditor:
         self._check_mapper(vm, where)
 
     def _check_swap_state(self, vm: "Vm", where: str) -> None:
-        slot_owner = self.machine.hypervisor.slot_owner
+        slot_owner = self.host.hypervisor.slot_owner
         for gpa, slot in vm.swap_slots.items():
             if vm.ept.is_present(gpa):
                 self._fail(where, f"{vm.name}: page {gpa:#x} is both "
@@ -203,5 +201,5 @@ class InvariantAuditor:
     def _fail(self, where: str, message: str) -> None:
         site = f"{self.label}:{where}" if self.label else where
         raise InvariantViolation(
-            f"invariant violated at {site} (t={self.machine.now:.6f}): "
+            f"invariant violated at {site} (t={self.host.now:.6f}): "
             f"{message}")

@@ -14,8 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.balloon.policy import BalloonPolicy, GuestObservation
+from repro.cluster.host import Host
 from repro.errors import GuestOomKill
-from repro.machine import Machine
 from repro.units import mib_pages
 
 
@@ -31,11 +31,11 @@ class ManagerConfig:
 
 
 class BalloonManager:
-    """MOM-like daemon managing every VM on a machine."""
+    """MOM-like daemon managing every VM on one host."""
 
-    def __init__(self, machine: Machine,
+    def __init__(self, host: Host,
                  config: ManagerConfig | None = None) -> None:
-        self.machine = machine
+        self.host = host
         self.cfg = config or ManagerConfig()
         self.ticks = 0
         self.oom_events = 0
@@ -43,14 +43,14 @@ class BalloonManager:
         self.history: list[tuple[float, int, int]] = []
         self._last_host_evictions = 0
         self._last_guest_swap: dict[int, int] = {}
-        machine.engine.add_periodic(self.cfg.poll_interval, self.tick)
+        host.engine.add_periodic(self.cfg.poll_interval, self.tick)
 
     def _host_evictions(self) -> int:
-        return sum(vm.counters.host_evictions for vm in self.machine.vms)
+        return sum(vm.counters.host_evictions for vm in self.host.vms)
 
     def _observe(self) -> dict[int, GuestObservation]:
         observations: dict[int, GuestObservation] = {}
-        for vm in self.machine.vms:
+        for vm in self.host.vms:
             guest = vm.guest
             if guest is None or guest.oom_killed:
                 continue
@@ -73,8 +73,8 @@ class BalloonManager:
         self._last_host_evictions = evictions
         decision = self.cfg.policy.decide(observations, evictions_delta)
 
-        now = self.machine.now
-        for vm in self.machine.vms:
+        now = self.host.now
+        for vm in self.host.vms:
             target = decision.targets.get(vm.vm_id)
             if target is None:
                 continue

@@ -1,6 +1,6 @@
 """Multi-host topology: hosts, placement, budgets, migration, recovery.
 
-The package splits what ``repro.machine`` used to fuse:
+The package holds the only host assembly in the simulator:
 
 * :class:`~repro.cluster.host.Host` -- the per-host assembly (disk,
   frames, hypervisor, VMs) *without* an engine clock of its own, plus
@@ -11,8 +11,9 @@ The package splits what ``repro.machine`` used to fuse:
   per-node overcommit/swap budgets, pressure-driven migration, and
   host-failure recovery (``repro.cluster.recovery``).
 
-``repro.machine.Machine`` remains the single-host facade (a cluster
-of one), bit-identical to its pre-cluster behaviour.
+A single-host run is a cluster of one:
+``Cluster(MachineConfig(...).as_cluster())``, with the host's parts at
+``cluster.hosts[0]`` (or ``vm.host``).
 """
 
 from repro.cluster.cluster import Cluster

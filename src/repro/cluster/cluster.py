@@ -10,18 +10,16 @@ pure functions of cluster state with host-id/vm-id tie-breaks.  Same
 seed, same fleet => bit-identical placements, migration log, and
 per-VM counters, serial or parallel.
 
-A cluster of exactly one host hands the *root* RNG to that host --
-its fork labels (``"hypervisor"``, ``"reclaim-<vm>"``,
-``"guest-<vm>"``) are then identical to what the pre-cluster
-``Machine`` drew, which is what keeps every existing figure
-bit-identical through the ``Machine`` facade.  Multi-host clusters
-fork per host (``"host-<name>"``) so each node gets an independent
-stream.
+A cluster of exactly one host -- what every single-host experiment
+builds from :meth:`repro.config.MachineConfig.as_cluster` -- hands the
+*root* RNG to that host: its fork labels are then the bare
+``"hypervisor"``, ``"reclaim-<vm>"`` and ``"guest-<vm>"``, which every
+single-host figure and cache key was recorded with.  Multi-host
+clusters fork per host (``"host-<name>"``) so each node gets an
+independent stream.
 """
 
 from __future__ import annotations
-
-from typing import Iterable, Sequence
 
 from repro.audit import ClusterInvariantAuditor
 from repro.config import ClusterConfig, VmConfig
@@ -86,8 +84,8 @@ class Cluster:
         multi = len(config.hosts) > 1
         self.hosts: list[Host] = []
         for host_id, node in enumerate(config.hosts):
-            # One host draws from the root RNG itself: fork labels then
-            # match the pre-cluster Machine exactly (bit-compat).
+            # One host draws from the root RNG itself: its fork labels
+            # are the bare single-host ones (bit-compat).
             host_rng = (self.rng.fork(f"host-{node.name}") if multi
                         else self.rng)
             host_trace = self.trace
@@ -163,10 +161,6 @@ class Cluster:
         if self.auditor is not None:
             self.auditor.check(f"place:{vm_config.name}")
         return vm
-
-    def deploy(self, fleet: Iterable[VmConfig]) -> list[Vm]:
-        """Place a declarative fleet spec, in order."""
-        return [self.create_vm(vm_config) for vm_config in fleet]
 
     # ------------------------------------------------------------------
     # pressure-driven migration

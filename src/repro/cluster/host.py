@@ -1,14 +1,13 @@
 """One node of a cluster: disk, memory, hypervisor, and VMs.
 
-:class:`Host` is the per-host assembly that used to live inside
-``repro.machine.Machine``, minus the engine clock: a host *shares* the
-cluster's :class:`~repro.sim.engine.Engine` and draws its randomness
-from a fork of the cluster's root RNG, so cross-host event ordering is
-a pure function of the cluster seed.  A cluster of one host built from
-the root RNG itself reproduces the old single-host ``Machine``
-bit-for-bit (same fork labels, same construction order).
+:class:`Host` is the per-host assembly (disk, frame pool, swap area,
+swap backend, hypervisor) without an engine clock: a host *shares*
+the cluster's :class:`~repro.sim.engine.Engine` and draws its
+randomness from a fork of the cluster's root RNG, so cross-host event
+ordering is a pure function of the cluster seed.  The one host of a
+single-host cluster draws from the root RNG itself.
 
-On top of the extraction, a host enforces its node budgets: the
+On top of the assembly, a host enforces its node budgets: the
 overcommit ratio caps admission (believed guest memory over physical
 frames) and the swap budget caps :class:`HostSwapArea` occupancy,
 whose fill fraction is the node-pressure signal the cluster's

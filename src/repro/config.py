@@ -625,7 +625,7 @@ class HostNodeConfig:
     disk: DiskConfig = field(default_factory=DiskConfig)
     #: Admission control: the sum of believed guest memory placed on
     #: this node may reach this multiple of its physical frames
-    #: (None = unlimited, the single-host ``Machine`` behaviour).
+    #: (None = unlimited, what :meth:`MachineConfig.as_cluster` builds).
     overcommit_ratio: float | None = None
     #: ``memory.swap.max``-style cap on host swap slots this node may
     #: fill (None = the whole swap area; 0 = swapping forbidden).
@@ -716,21 +716,13 @@ class MachineConfig:
     #: to the pre-backend swap path).  See :class:`SwapBackendConfig`.
     swap_backend: SwapBackendConfig | None = None
 
-    def validate(self) -> None:
-        self.host.validate()
-        self.disk.validate()
-        if self.faults is not None:
-            self.faults.validate()
-        if self.swap_backend is not None:
-            self.swap_backend.validate()
-
     def as_cluster(self) -> ClusterConfig:
         """The equivalent cluster of one unbudgeted node.
 
-        A cluster built from this config is bit-identical to the
-        pre-cluster ``Machine``: the single node draws from the root
-        RNG with unchanged fork labels, no budgets gate its swap area,
-        and no migration controller is scheduled.
+        Every single-host run builds ``Cluster(config.as_cluster())``,
+        which validates it.  The single node draws from the root RNG
+        (no per-host fork), no budgets gate its swap area, and no
+        migration controller is scheduled.
         """
         return ClusterConfig(
             hosts=(HostNodeConfig(

@@ -10,15 +10,11 @@ swaps a page in; Section 5.1).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Optional
+from typing import Callable, Optional
 
 from repro.config import GuestOsKind
 from repro.errors import GuestOomKill
 from repro.host.vm import Vm
-from repro.machine import Machine
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.cluster.cluster import Cluster
 from repro.sim.ops import MarkPhase
 from repro.workloads.base import Workload
 
@@ -48,19 +44,21 @@ def fault_overlap_for(threads: int, async_faults: bool) -> float:
 
 
 class VmDriver:
-    """Runs one workload inside one VM.
+    """Runs one workload inside one placed VM.
 
-    ``machine`` may be a single-host :class:`Machine` or a
-    :class:`~repro.cluster.cluster.Cluster`: host-specific state (the
-    async-page-fault capability, the phase auditor, the trace view) is
-    resolved through ``vm.host``, which placement sets and migration
-    rebinds -- a driver follows its VM across hosts.
+    The driver steps on the engine every host of the VM's cluster
+    shares.  Host-specific state (the async-page-fault capability, the
+    phase auditor, the trace view) is resolved through ``vm.host``,
+    which placement sets and migration rebinds -- a driver follows its
+    VM across hosts.
     """
 
-    def __init__(self, machine: "Machine | Cluster", vm: Vm,
-                 workload: Workload, *, start_delay: float = 0.0,
+    def __init__(self, vm: Vm, workload: Workload, *,
+                 start_delay: float = 0.0,
                  phase_callback: Optional[PhaseCallback] = None) -> None:
-        self.machine = machine
+        #: The cluster's shared engine; kept because ``vm.host`` is
+        #: None while the VM is homeless mid-evacuation.
+        self.engine = vm.host.engine
         self.vm = vm
         self.workload = workload
         self.phase_callback = phase_callback
@@ -76,10 +74,10 @@ class VmDriver:
             workload.threads,
             vm.host.cfg.async_page_faults and guest_supports_async)
         self._ops = iter(workload.operations())
-        machine.engine.add_process(self._step, start_delay)
+        self.engine.add_process(self._step, start_delay)
 
     def _step(self) -> float | None:
-        now = self.machine.now
+        now = self.engine.now
         if self.vm.lost:
             # Host-failure recovery gave the VM up: the workload ends
             # as crashed -- a typed hole, never a silent drop.

@@ -2,7 +2,7 @@
 
 All executors run the same pure function, :func:`execute_cell`, over
 :class:`~repro.exec.spec.CellSpec`\\ s.  Each cell builds its own seeded
-:class:`~repro.machine.Machine`, so cells share no state and the
+:class:`~repro.cluster.Cluster`, so cells share no state and the
 parallel executor's results are bit-identical to the serial one's --
 results are gathered back into sweep order regardless of completion
 order, and a property test enforces the equality.

@@ -3,7 +3,7 @@
 Every paper figure is a grid of independent simulations: configuration
 x workload parameters x memory grant.  A :class:`CellSpec` is the
 *complete*, serializable description of one such simulation -- enough
-for any process to rebuild the seeded :class:`repro.machine.Machine`
+for any process to rebuild the seeded :class:`repro.cluster.Cluster`
 and re-run it bit-identically.  A :class:`Sweep` is the ordered set of
 cells one experiment declares instead of hand-rolling a loop;
 :func:`repro.experiments.registry.run_experiment` builds it, runs it,

@@ -32,7 +32,7 @@ from repro.config import (
     PLACEMENT_POLICIES,
 )
 from repro.exec.spec import CellSpec, Sweep
-from repro.experiments.dynamic import deploy_fleet, run_fleet
+from repro.experiments.dynamic import FLEET_SLICE_SECONDS, deploy_fleet
 from repro.experiments.runner import (
     ConfigName,
     ConfigSpec,
@@ -40,6 +40,7 @@ from repro.experiments.runner import (
     PhaseMark,
     RunResult,
     run_guarded,
+    run_to_completion,
     standard_configs,
 )
 from repro.metrics.report import Table
@@ -112,7 +113,8 @@ def run_cluster_fleet(spec: ConfigSpec, *, num_guests: int,
     drivers = deploy_fleet(cluster, spec, num_guests=num_guests,
                            scale=scale, stagger_seconds=stagger_seconds,
                            guest_mib=guest_mib)
-    run_fleet(cluster, drivers)
+    run_to_completion(cluster.engine, drivers,
+                      slice_seconds=FLEET_SLICE_SECONDS)
     runtimes = [d.runtime for d in drivers if not d.crashed]
     crashes = sum(1 for d in drivers if d.crashed)
     return ClusterFleetResult(

@@ -41,7 +41,7 @@ from repro.config import (
 )
 from repro.exec.spec import CellSpec, Sweep, fault_params
 from repro.experiments.cluster import _fleet_nodes
-from repro.experiments.dynamic import deploy_fleet, run_fleet
+from repro.experiments.dynamic import FLEET_SLICE_SECONDS, deploy_fleet
 from repro.experiments.runner import (
     ConfigName,
     ConfigSpec,
@@ -49,6 +49,7 @@ from repro.experiments.runner import (
     PhaseMark,
     RunResult,
     run_guarded,
+    run_to_completion,
     standard_configs,
 )
 from repro.metrics.report import Table
@@ -152,7 +153,8 @@ def run_chaos_fleet(spec: ConfigSpec, *, schedule: str, num_guests: int,
     ))
     drivers = deploy_fleet(cluster, spec, num_guests=num_guests,
                            scale=scale, stagger_seconds=stagger_seconds)
-    run_fleet(cluster, drivers)
+    run_to_completion(cluster.engine, drivers,
+                      slice_seconds=FLEET_SLICE_SECONDS)
 
     touched = {record.src for record in cluster.migrations}
     touched |= {record.dst for record in cluster.migrations}

@@ -35,10 +35,10 @@ from repro.experiments.runner import (
     FigureResult,
     PhaseMark,
     RunResult,
+    run_to_completion,
     scaled_guest_config,
     standard_configs,
 )
-from repro.machine import Machine
 from repro.metrics.report import Table
 from repro.units import mib_pages
 from repro.workloads.mapreduce import MetisMapReduce
@@ -49,6 +49,10 @@ FIG14_CONFIGS = (
     ConfigName.VSWAPPER,
     ConfigName.BALLOON_VSWAPPER,
 )
+
+#: Virtual seconds per engine slice while a fleet runs.  Observable:
+#: a cell's final virtual time ends on a slice boundary.
+FLEET_SLICE_SECONDS = 60.0
 
 #: Figure 4's bar order (the ten-guest column of Figure 14).
 FIG04_CONFIGS = (
@@ -86,7 +90,7 @@ def make_mapreduce(scale: int, seed: int) -> MetisMapReduce:
     )
 
 
-def deploy_fleet(host: Machine | Cluster, spec: ConfigSpec, *,
+def deploy_fleet(cluster: Cluster, spec: ConfigSpec, *,
                  num_guests: int, scale: int, stagger_seconds: float,
                  guest_mib: float = 2048) -> list[VmDriver]:
     """Place ``num_guests`` phased MapReduce guests and their drivers.
@@ -97,7 +101,7 @@ def deploy_fleet(host: Machine | Cluster, spec: ConfigSpec, *,
     """
     drivers: list[VmDriver] = []
     for i in range(num_guests):
-        vm = host.create_vm(VmConfig(
+        vm = cluster.create_vm(VmConfig(
             name=f"vm{i}",
             guest=scaled_guest_config(guest_mib, scale),
             vswapper=spec.vswapper,
@@ -108,19 +112,9 @@ def deploy_fleet(host: Machine | Cluster, spec: ConfigSpec, *,
         vm.guest.fs.create_file("metis-input", mib_pages(300 / scale))
         vm.guest.fs.create_file("metis-output", mib_pages(16 / scale))
         drivers.append(VmDriver(
-            host, vm, make_mapreduce(scale, seed=100 + i),
+            vm, make_mapreduce(scale, seed=100 + i),
             start_delay=i * stagger_seconds / scale))
     return drivers
-
-
-def run_fleet(host: Machine | Cluster, drivers: list[VmDriver]) -> None:
-    """Run the engine in 60 s slices until every driver has finished or
-    crashed, then stop it."""
-    while not all(d.done for d in drivers):
-        if host.engine.pending_events() == 0:
-            raise RuntimeError("engine drained before guests finished")
-        host.engine.run(until=host.now + 60.0)
-    host.engine.stop()
 
 
 def run_phased(spec: ConfigSpec, *, num_guests: int, scale: int = 1,
@@ -129,18 +123,18 @@ def run_phased(spec: ConfigSpec, *, num_guests: int, scale: int = 1,
                guest_mib: float = 2048,
                seed: int = 1) -> DynamicResult:
     """Run ``num_guests`` phased MapReduce guests under one config."""
-    machine = Machine(MachineConfig(
+    cluster = Cluster(MachineConfig(
         seed=seed,
         host=HostConfig(
             total_memory_pages=mib_pages(host_mib / scale),
             swap_size_pages=mib_pages(16 * 1024 / scale),
         ),
-    ))
-    drivers = deploy_fleet(machine, spec, num_guests=num_guests,
+    ).as_cluster())
+    drivers = deploy_fleet(cluster, spec, num_guests=num_guests,
                            scale=scale, stagger_seconds=stagger_seconds,
                            guest_mib=guest_mib)
     if spec.ballooned:
-        BalloonManager(machine, ManagerConfig(
+        BalloonManager(cluster.hosts[0], ManagerConfig(
             poll_interval=5.0 / scale,
             max_step_pages=mib_pages(256 / scale),
             policy=BalloonPolicy(
@@ -148,7 +142,8 @@ def run_phased(spec: ConfigSpec, *, num_guests: int, scale: int = 1,
                 guest_swap_activity_threshold=max(8, 64 // scale),
             ),
         ))
-    run_fleet(machine, drivers)
+    run_to_completion(cluster.engine, drivers,
+                      slice_seconds=FLEET_SLICE_SECONDS)
     runtimes = [d.runtime for d in drivers if not d.crashed]
     crashes = sum(1 for d in drivers if d.crashed)
     return DynamicResult(spec.name, runtimes, crashes)

@@ -13,7 +13,9 @@ from __future__ import annotations
 
 from typing import Mapping
 
+from repro.cluster import Cluster
 from repro.core.migration import MigrationPlan, MigrationPlanner
+from repro.errors import ExperimentError
 from repro.exec.spec import CellSpec, Sweep
 from repro.experiments.runner import (
     ConfigName,
@@ -24,7 +26,6 @@ from repro.experiments.runner import (
 )
 from repro.config import MachineConfig, VmConfig
 from repro.driver import VmDriver
-from repro.machine import Machine
 from repro.metrics.report import Table
 from repro.units import MIB, mib_pages
 from repro.workloads.sysbench import SysbenchFileRead
@@ -58,19 +59,21 @@ def migration_cell(spec: CellSpec) -> RunResult:
     """Run the source workload and snapshot the migration plan."""
     scale = spec.scale
     config = standard_configs([ConfigName(spec.config)])[0]
-    machine = Machine(MachineConfig(seed=spec.seed))
-    vm = machine.create_vm(VmConfig(
+    cluster = Cluster(MachineConfig(seed=spec.seed).as_cluster())
+    vm = cluster.create_vm(VmConfig(
         name="migrant",
         guest=scaled_guest_config(512, scale),
         vswapper=config.vswapper,
         resident_limit_pages=mib_pages(256 / scale),
     ))
-    machine.boot_guest(vm)
+    vm.host.boot_guest(vm)
     vm.guest.fs.create_file("sysbench.dat", mib_pages(300 / scale))
-    driver = VmDriver(machine, vm, SysbenchFileRead(
+    driver = VmDriver(vm, SysbenchFileRead(
         file_pages=mib_pages(300 / scale), iterations=2))
-    machine.run()
-    assert driver.done
+    # Nothing periodic runs: the queue drains when the workload ends.
+    cluster.run()
+    if not driver.done:
+        raise ExperimentError("engine drained before the workload finished")
     plan = MigrationPlanner().plan(vm)
     counters = {
         counter: getattr(plan, field)

@@ -14,6 +14,7 @@ import enum
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
+from repro.cluster import Cluster
 from repro.config import (
     GuestConfig,
     MachineConfig,
@@ -31,8 +32,8 @@ from repro.errors import (
     InvariantViolation,
     SimulationError,
 )
-from repro.machine import Machine
 from repro.metrics.timeline import Timeline
+from repro.sim.engine import Engine
 from repro.trace.events import TraceData
 from repro.units import mib_pages
 from repro.workloads.base import Workload
@@ -339,13 +340,36 @@ def scaled_guest_config(guest_mib: float, scale: int,
     return GuestConfig(**defaults)
 
 
+def run_to_completion(engine: Engine, drivers: Sequence[VmDriver], *,
+                      slice_seconds: float) -> None:
+    """Run ``engine`` in ``slice_seconds`` slices until every driver has
+    finished or crashed, then stop it.
+
+    Periodic tasks (timeline sampling, balloon and migration ticks)
+    would keep the queue alive forever, so the engine is stopped once
+    the workloads are done -- however the run ends, crashes included.
+    The slice length is observable: the final virtual time, and any
+    samples taken after the last workload finished, end on a slice
+    boundary.
+    """
+    try:
+        while not all(driver.done for driver in drivers):
+            if engine.pending_events() == 0:
+                raise ExperimentError(
+                    "engine drained before every workload finished")
+            engine.run(until=engine.now + slice_seconds)
+    finally:
+        engine.stop()
+
+
 class SingleVmExperiment:
     """Controlled-memory-assignment harness (Section 5.1).
 
     One guest that believes it has ``guest_mib`` of memory while the
     host actually grants ``actual_mib``: balloon configurations inform
     the guest by statically inflating ``guest - actual``; uncooperative
-    configurations enforce it with a resident limit.
+    configurations enforce it with a resident limit.  Each run builds
+    a one-host :class:`~repro.cluster.Cluster` from ``machine_config``.
     """
 
     def __init__(
@@ -357,9 +381,6 @@ class SingleVmExperiment:
         guest_config: GuestConfig | None = None,
         files: Sequence[tuple[str, int]] = (),
         sample_interval: float | None = None,
-        gauges: dict[str, Callable[["Machine"], float]] | None = None,
-        boot: bool = True,
-        balloon_deficit_pages: int = 0,
     ) -> None:
         self.guest_pages = mib_pages(guest_mib)
         self.actual_pages = mib_pages(actual_mib)
@@ -372,22 +393,15 @@ class SingleVmExperiment:
             memory_pages=self.guest_pages)
         self.files = list(files)
         self.sample_interval = sample_interval
-        self.gauges = gauges or {}
-        self.boot = boot
-        #: Pages by which a static balloon falls short of covering the
-        #: whole grant gap (models reservations below guest size, as in
-        #: the Table 2 VMware setup): the host must still swap the rest.
-        self.balloon_deficit_pages = balloon_deficit_pages
 
     def run(self, spec: ConfigSpec, workload: Workload) -> RunResult:
         """Execute ``workload`` under configuration ``spec``."""
-        machine = Machine(self.machine_config)
+        cluster = Cluster(self.machine_config.as_cluster())
         guest_cfg = self.guest_config
         if guest_cfg.memory_pages != self.guest_pages:
             raise ExperimentError(
                 "guest_config.memory_pages disagrees with guest_mib")
-        balloon = (max(0, self.guest_pages - self.actual_pages
-                       - self.balloon_deficit_pages)
+        balloon = (self.guest_pages - self.actual_pages
                    if spec.ballooned else 0)
         vm_config = VmConfig(
             name="vm0",
@@ -396,19 +410,18 @@ class SingleVmExperiment:
             resident_limit_pages=self.actual_pages,
         )
         phases: list[PhaseMark] = []
-        vm = machine.create_vm(vm_config)
-        if self.boot:
-            # Uptime history first, then the balloon policy -- the
-            # order a real deployment experiences them in.
-            machine.boot_guest(vm)
+        vm = cluster.create_vm(vm_config)
+        # Uptime history first, then the balloon policy -- the order a
+        # real deployment experiences them in.
+        vm.host.boot_guest(vm)
         try:
             if balloon:
-                machine.apply_static_balloon(vm, balloon)
+                vm.host.apply_static_balloon(vm, balloon)
         except GuestOomKill as error:
             # Over-ballooning killed the workload during static setup.
             return RunResult(spec.name, None, True, {}, phases,
                              crash_reason=f"GuestOomKill: {error}",
-                             trace=machine.trace.finish())
+                             trace=cluster.trace.finish())
 
         def on_phase(name: str, payload: dict, time: float) -> None:
             phases.append(
@@ -419,29 +432,29 @@ class SingleVmExperiment:
         timeline = None
         if self.sample_interval is not None:
             timeline = Timeline()
-            self._register_gauges(timeline, machine, vm)
-            machine.engine.add_periodic(
+            self._register_gauges(timeline, vm)
+            cluster.engine.add_periodic(
                 self.sample_interval,
-                lambda: timeline.sample_all(machine.now))
+                lambda: timeline.sample_all(cluster.now))
 
-        driver = VmDriver(machine, vm, workload, phase_callback=on_phase)
+        driver = VmDriver(vm, workload, phase_callback=on_phase)
 
         def result(runtime, crashed: bool, reason=None) -> RunResult:
             return RunResult(
                 spec.name, runtime, crashed, vm.counters.snapshot(), phases,
                 timeline, degraded=vm.degraded, crash_reason=reason,
-                trace=machine.trace.finish())
+                trace=cluster.trace.finish())
 
         def finish() -> RunResult:
-            self._run_to_completion(machine, driver)
+            run_to_completion(cluster.engine, [driver], slice_seconds=30.0)
             return result(None if driver.crashed else driver.runtime,
                           driver.crashed)
 
         return run_guarded(spec.name, finish,
                            lambda reason: result(None, True, reason))
 
-    def _register_gauges(self, timeline: Timeline, machine: Machine,
-                         vm) -> None:
+    @staticmethod
+    def _register_gauges(timeline: Timeline, vm) -> None:
         timeline.register(
             "guest_page_cache", lambda: vm.guest.cache.cached_pages)
         timeline.register(
@@ -449,22 +462,3 @@ class SingleVmExperiment:
         timeline.register(
             "mapper_tracked",
             lambda: (vm.mapper.tracked_pages if vm.mapper else 0))
-        for name, gauge in self.gauges.items():
-            timeline.register(name, lambda gauge=gauge: gauge(machine))
-
-    @staticmethod
-    def _run_to_completion(machine: Machine, driver: VmDriver) -> None:
-        """Run the engine until the driver finishes.
-
-        Periodic tasks (timeline sampling) would keep the queue alive
-        forever, so the engine is stopped once the workload is done.
-        """
-        # Run in slices: cheap because the engine just drains events.
-        # The engine stops however the run ends, crashes included.
-        try:
-            while not driver.done:
-                if machine.engine.pending_events() == 0:
-                    raise ExperimentError("engine drained before completion")
-                machine.engine.run(until=machine.now + 30.0)
-        finally:
-            machine.engine.stop()

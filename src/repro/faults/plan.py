@@ -21,8 +21,8 @@ from repro.metrics.counters import Counters
 from repro.sim.rng import DeterministicRng
 
 def default_fault_config() -> FaultConfig | None:
-    """The run context's fault plan: what a Machine or Cluster whose
-    config carries no FaultConfig injects (the CLI's ``--faults``)."""
+    """The run context's fault plan: what a Cluster whose config
+    carries no FaultConfig injects (the CLI's ``--faults``)."""
     return current_context().faults
 
 

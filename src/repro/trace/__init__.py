@@ -7,7 +7,7 @@ The subsystem has four parts:
   driver) holds a collector reference that defaults to the module-level
   no-op :data:`~repro.trace.collector.NULL_TRACE`; hot paths guard each
   emit with ``if trace.enabled:`` so disabled runs pay essentially
-  nothing.  A :class:`~repro.machine.Machine` installs a live
+  nothing.  A :class:`~repro.cluster.Cluster` installs a live
   :class:`~repro.trace.collector.TraceCollector` when the run
   context's tracing mode says so.
 * :mod:`repro.trace.events` -- the typed data model

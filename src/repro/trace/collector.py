@@ -75,8 +75,8 @@ class HostTaggedTrace:
     A multi-host cluster records into *one* ring (cross-host ordering
     is the point), but every event must say which host produced it.
     Hosts therefore get this thin wrapper, which stamps ``host=<name>``
-    into each event's args; single-host runs keep the raw collector so
-    their event bytes stay identical to the pre-cluster ``Machine``.
+    into each event's args; a one-host cluster keeps the raw collector,
+    so single-host event bytes carry no host tag.
     """
 
     def __init__(self, collector: TraceCollector, host: str) -> None:

@@ -51,9 +51,8 @@ kind                   emitted by / meaning
 =====================  =====================================================
 
 Multi-host cluster runs share one collector; each host-side event then
-additionally carries ``host=<name>`` in its args (single-host runs
-omit it, keeping their event bytes identical to the pre-cluster
-``Machine``).
+additionally carries ``host=<name>`` in its args (one-host clusters
+omit it, so single-host event bytes carry no host tag).
 
 A *span* brackets one guest operation (``FileRead``, ``Touch``, ...);
 every event emitted while it is open carries its id, which is the
@@ -133,10 +132,6 @@ class TraceData:
         precondition for the analyzer's exact cross-check)."""
         return self.mode == "full" and self.dropped == 0 \
             and self.sampled_out == 0
-
-    def events_of_kind(self, kind: str) -> list[TraceEvent]:
-        """All recorded events of one kind, in emission order."""
-        return [e for e in self.events if e.kind == kind]
 
     def to_dict(self) -> dict:
         """Compact JSON-ready form (events and spans as flat lists)."""

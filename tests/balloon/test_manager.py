@@ -1,9 +1,9 @@
-"""Balloon manager control loop over a live machine."""
+"""Balloon manager control loop over a live cluster."""
 
 from repro.balloon.manager import BalloonManager, ManagerConfig
 from repro.balloon.policy import BalloonPolicy
+from repro.cluster import Cluster
 from repro.driver import VmDriver
-from repro.machine import Machine
 from repro.sim.ops import Alloc, Compute, Touch
 from repro.workloads.base import Workload
 from tests.conftest import small_machine_config, small_vm_config
@@ -43,13 +43,14 @@ class HungryWorkload(Workload):
 
 
 def test_manager_ticks_and_records_history():
-    machine = Machine(small_machine_config())
-    vm = machine.create_vm(small_vm_config())
-    VmDriver(machine, vm, IdleWorkload(steps=5))
-    manager = BalloonManager(machine, ManagerConfig(poll_interval=1.0))
-    machine.engine.run(until=4.5)
-    machine.engine.stop()
-    machine.engine.run()
+    cluster = Cluster(small_machine_config().as_cluster())
+    host = cluster.hosts[0]
+    vm = cluster.create_vm(small_vm_config())
+    VmDriver(vm, IdleWorkload(steps=5))
+    manager = BalloonManager(host, ManagerConfig(poll_interval=1.0))
+    cluster.engine.run(until=4.5)
+    cluster.engine.stop()
+    cluster.engine.run()
     assert manager.ticks >= 4
     assert all(vm_id == vm.vm_id for _t, vm_id, _tg in manager.history)
 
@@ -58,31 +59,34 @@ def test_manager_inflates_idle_guests_under_pressure():
     # Two guests on a host that cannot hold both: the hungry one's
     # growth creates host evictions, and the manager should balloon
     # the idle one.
-    machine = Machine(small_machine_config(total_memory_pages=6000))
-    idle = machine.create_vm(small_vm_config(name="idle"))
-    hungry = machine.create_vm(small_vm_config(name="hungry"))
+    cluster = Cluster(
+        small_machine_config(total_memory_pages=6000).as_cluster())
+    host = cluster.hosts[0]
+    idle = cluster.create_vm(small_vm_config(name="idle"))
+    hungry = cluster.create_vm(small_vm_config(name="hungry"))
     # Pre-touch the idle guest so it owns memory worth reclaiming.
     for i in range(3500):
-        machine.hypervisor.touch_page(idle, 0x100 + i, write=True)
-    idle_driver = VmDriver(machine, idle, IdleWorkload(steps=60))
-    hungry_driver = VmDriver(machine, hungry, HungryWorkload(pages=3400))
-    BalloonManager(machine, ManagerConfig(
+        host.hypervisor.touch_page(idle, 0x100 + i, write=True)
+    idle_driver = VmDriver(idle, IdleWorkload(steps=60))
+    hungry_driver = VmDriver(hungry, HungryWorkload(pages=3400))
+    BalloonManager(host, ManagerConfig(
         poll_interval=1.0,
         policy=BalloonPolicy(host_pressure_evictions=64)))
-    machine.engine.run(until=80.0)
-    machine.engine.stop()
-    machine.engine.run()
+    cluster.engine.run(until=80.0)
+    cluster.engine.stop()
+    cluster.engine.run()
     assert idle_driver.done and hungry_driver.done
     assert idle.guest.balloon_target > 0
     assert idle.counters.balloon_inflated_pages > 0
 
 
 def test_manager_skips_oom_killed_guests():
-    machine = Machine(small_machine_config())
-    vm = machine.create_vm(small_vm_config())
+    cluster = Cluster(small_machine_config().as_cluster())
+    host = cluster.hosts[0]
+    vm = cluster.create_vm(small_vm_config())
     vm.guest.oom_killed = True
-    manager = BalloonManager(machine, ManagerConfig(poll_interval=1.0))
-    machine.engine.run(until=2.5)
-    machine.engine.stop()
-    machine.engine.run()
+    manager = BalloonManager(host, ManagerConfig(poll_interval=1.0))
+    cluster.engine.run(until=2.5)
+    cluster.engine.stop()
+    cluster.engine.run()
     assert manager.history == []

@@ -1,11 +1,11 @@
-"""Cluster assembly: placement policies, admission, and the facade."""
+"""Cluster assembly: placement policies, admission, and the one-host
+cluster."""
 
 import pytest
 
 from repro.cluster import Cluster, choose_host
 from repro.config import ClusterConfig, MachineConfig
-from repro.errors import ConfigError, PlacementError
-from repro.machine import Machine
+from repro.errors import ConfigError, HostError, PlacementError
 from tests.cluster.conftest import fill_to_limit, small_node
 from tests.conftest import (
     small_machine_config,
@@ -111,7 +111,8 @@ def test_committed_pages_follow_vm_lifecycle():
 
 
 def test_unlimited_ratio_admits_past_physical_memory():
-    # None = the single-host Machine behaviour: admission never blocks.
+    # None = what MachineConfig.as_cluster builds: admission never
+    # blocks.
     node = small_node(total_memory_pages=8192)  # 32 MiB physical
     cluster = Cluster(ClusterConfig(hosts=(node,)))
     for i in range(4):  # 64 MiB believed on 32 MiB physical
@@ -120,40 +121,51 @@ def test_unlimited_ratio_admits_past_physical_memory():
 
 
 # ----------------------------------------------------------------------
-# the Machine facade
+# the one-host cluster every single-host run builds
 # ----------------------------------------------------------------------
 
-def test_machine_is_a_cluster_of_one():
-    machine = Machine(small_machine_config())
-    assert len(machine.cluster.hosts) == 1
-    assert machine.hypervisor is machine.cluster.hosts[0].hypervisor
-    assert machine.engine is machine.cluster.engine
+def test_machine_config_builds_a_cluster_of_one():
+    cluster = Cluster(small_machine_config().as_cluster())
+    (host,) = cluster.hosts
+    # The one host draws from the root RNG itself: no per-host fork.
+    assert host.rng is cluster.rng
+    assert host.engine is cluster.engine
+    assert host.swap_area.budget_slots is None
+    # No migration controller: nothing is queued before a VM exists.
+    assert cluster.engine.pending_events() == 0
 
 
-def test_facade_bit_identical_to_explicit_cluster():
-    """The same seed drives the same eviction choices whether the host
-    is reached through Machine or through its one-node Cluster."""
+def test_policy_placement_bit_identical_to_explicit_host():
+    """Placing through the policy and naming the one host explicitly
+    build the same VM and drive the same eviction choices."""
     config = small_machine_config()
-    machine = Machine(config)
-    cluster = Cluster(config.as_cluster())
+    placed = Cluster(config.as_cluster())
+    pinned = Cluster(config.as_cluster())
 
-    vm_a = machine.create_vm(small_vm_config(resident_limit_mib=4))
-    vm_b = cluster.create_vm(small_vm_config(resident_limit_mib=4))
+    vm_a = placed.create_vm(small_vm_config(resident_limit_mib=4))
+    vm_b = pinned.create_vm(small_vm_config(resident_limit_mib=4),
+                            host=pinned.hosts[0])
     fill_to_limit(vm_a, extra=256)
     fill_to_limit(vm_b, extra=256)
 
+    assert placed.placements == pinned.placements == [("vm0", "host0")]
     assert vm_a.counters.snapshot() == vm_b.counters.snapshot()
     assert sorted(vm_a.swap_slots) == sorted(vm_b.swap_slots)
-    assert machine.swap_area.used_slots == \
-        cluster.hosts[0].swap_area.used_slots
+    assert placed.hosts[0].swap_area.used_slots == \
+        pinned.hosts[0].swap_area.used_slots
 
 
-def test_facade_create_vm_keeps_config_error():
-    machine = Machine(small_machine_config(hypervisor_code_pages=32768))
-    machine.create_vm(small_vm_config(name="vm0"))
-    machine.create_vm(small_vm_config(name="vm1"))
-    with pytest.raises(ConfigError):
-        machine.create_vm(small_vm_config(name="vm2"))
+def test_one_host_code_capacity_is_a_placement_error():
+    """Placement filters on host-root code capacity: a one-host cluster
+    out of room raises PlacementError, which a cell reports as a crash
+    (it is a HostError), rather than the host's own ConfigError."""
+    cluster = Cluster(small_machine_config(
+        hypervisor_code_pages=32768).as_cluster())
+    cluster.create_vm(small_vm_config(name="vm0"))
+    cluster.create_vm(small_vm_config(name="vm1"))
+    with pytest.raises(PlacementError, match="no host admits VM 'vm2'"):
+        cluster.create_vm(small_vm_config(name="vm2"))
+    assert issubclass(PlacementError, HostError)
 
 
 def test_vm_host_backref_set_on_placement():

@@ -1,9 +1,10 @@
-"""Shared fixtures: small machines, VMs, and workload helpers."""
+"""Shared fixtures: small one-host clusters, VMs, and workload helpers."""
 
 from __future__ import annotations
 
 import pytest
 
+from repro.cluster import Cluster, Host
 from repro.config import (
     GuestConfig,
     HostConfig,
@@ -11,12 +12,11 @@ from repro.config import (
     VmConfig,
     VSwapperConfig,
 )
-from repro.machine import Machine
 from repro.units import mib_pages
 
 
 def small_machine_config(**host_overrides) -> MachineConfig:
-    """A machine sized for fast tests."""
+    """A one-host config sized for fast tests."""
     host_defaults = dict(
         total_memory_pages=mib_pages(256),
         swap_size_pages=mib_pages(512),
@@ -58,25 +58,31 @@ def small_vm_config(*, vswapper: VSwapperConfig | None = None,
 
 
 @pytest.fixture
-def machine() -> Machine:
-    """A small, deterministic machine."""
-    return Machine(small_machine_config())
+def cluster() -> Cluster:
+    """A small, deterministic one-host cluster."""
+    return Cluster(small_machine_config().as_cluster())
 
 
 @pytest.fixture
-def vm(machine: Machine):
+def host(cluster: Cluster) -> Host:
+    """The cluster's only host."""
+    return cluster.hosts[0]
+
+
+@pytest.fixture
+def vm(cluster: Cluster):
     """A small baseline VM with no resident limit."""
-    return machine.create_vm(small_vm_config())
+    return cluster.create_vm(small_vm_config())
 
 
 @pytest.fixture
-def tight_vm(machine: Machine):
+def tight_vm(cluster: Cluster):
     """A VM whose host grant (4 MiB) is far below its belief (16 MiB)."""
-    return machine.create_vm(small_vm_config(resident_limit_mib=4))
+    return cluster.create_vm(small_vm_config(resident_limit_mib=4))
 
 
 @pytest.fixture
-def vswapper_vm(machine: Machine):
+def vswapper_vm(cluster: Cluster):
     """A tight VM running the full VSwapper."""
-    return machine.create_vm(small_vm_config(
+    return cluster.create_vm(small_vm_config(
         vswapper=VSwapperConfig.full(), resident_limit_mib=4))

@@ -11,34 +11,34 @@ from repro.units import PAGE_SIZE
 from tests.conftest import small_vm_config
 
 
-def test_empty_vm_plans_zero(machine, vm):
+def test_empty_vm_plans_zero(vm):
     plan = MigrationPlanner().plan(vm)
     assert plan.baseline_bytes == 0
     assert plan.vswapper_bytes == 0
     assert plan.savings_fraction == 0.0
 
 
-def test_private_pages_counted_in_both(machine, vm):
+def test_private_pages_counted_in_both(host, vm):
     for i in range(10):
-        machine.hypervisor.touch_page(vm, 0x100 + i, write=True)
+        host.hypervisor.touch_page(vm, 0x100 + i, write=True)
     plan = MigrationPlanner().plan(vm)
     assert plan.private_pages == 10
     assert plan.baseline_bytes == 10 * PAGE_SIZE
     assert plan.vswapper_bytes == 10 * PAGE_SIZE
 
 
-def test_zero_pages_skipped(machine, vm):
+def test_zero_pages_skipped(host, vm):
     for i in range(10):
-        machine.hypervisor.touch_page(vm, 0x100 + i, write=False)
+        host.hypervisor.touch_page(vm, 0x100 + i, write=False)
     plan = MigrationPlanner().plan(vm)
     assert plan.zero_pages == 10
     assert plan.baseline_bytes == 0
 
 
-def test_mapped_pages_become_references(machine):
-    vm = machine.create_vm(small_vm_config(
+def test_mapped_pages_become_references(cluster, host):
+    vm = cluster.create_vm(small_vm_config(
         vswapper=VSwapperConfig.mapper_only()))
-    machine.hypervisor.virtio_read(
+    host.hypervisor.virtio_read(
         vm, [Transfer(100 + i, 0x100 + i) for i in range(20)])
     plan = MigrationPlanner().plan(vm)
     assert plan.mapped_pages == 20
@@ -47,19 +47,19 @@ def test_mapped_pages_become_references(machine):
     assert plan.savings_fraction > 0.9
 
 
-def test_discarded_pages_cost_references_only(machine):
-    vm = machine.create_vm(small_vm_config(
+def test_discarded_pages_cost_references_only(cluster, host):
+    vm = cluster.create_vm(small_vm_config(
         vswapper=VSwapperConfig.mapper_only(), resident_limit_mib=4))
-    machine.hypervisor.virtio_read(
+    host.hypervisor.virtio_read(
         vm, [Transfer(100 + i, 0x100 + i) for i in range(2048)])
     plan = MigrationPlanner().plan(vm)
     assert plan.discarded_pages > 0
     assert plan.vswapper_bytes < plan.baseline_bytes
 
 
-def test_swapped_private_pages_cost_full_both_ways(machine, tight_vm):
+def test_swapped_private_pages_cost_full_both_ways(host, tight_vm):
     for i in range(2048):
-        machine.hypervisor.touch_page(tight_vm, 0x100 + i, write=True)
+        host.hypervisor.touch_page(tight_vm, 0x100 + i, write=True)
     plan = MigrationPlanner().plan(tight_vm)
     assert plan.swapped_private_pages > 0
     assert plan.baseline_bytes == plan.vswapper_bytes  # no mapper

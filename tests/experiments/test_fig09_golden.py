@@ -31,9 +31,9 @@ from pathlib import Path
 import pytest
 
 import repro.experiments.runner as runner_module
+from repro.cluster import Cluster
 from repro.exec.store import cell_key
 from repro.experiments.fig09 import build_fig09_sweep, fig09_cell
-from repro.machine import Machine
 
 GOLDEN_SCALE = 8
 GOLDEN_PATH = Path(__file__).parent / "data" / "fig09_golden_scale8.json"
@@ -51,28 +51,25 @@ def _digest(value) -> str:
 
 
 def _capture_cell(spec):
-    """Run one fig9 cell while capturing the Machine it builds."""
-    captured: list[Machine] = []
-    original = runner_module.Machine
+    """Run one fig9 cell while capturing the Cluster it builds."""
+    captured: list[Cluster] = []
 
     def capturing(config):
-        machine = original(config)
-        captured.append(machine)
-        return machine
+        cluster = Cluster(config)
+        captured.append(cluster)
+        return cluster
 
-    runner_module.Machine = capturing
-    try:
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(runner_module, "Cluster", capturing)
         result = fig09_cell(spec)
-    finally:
-        runner_module.Machine = original
-    assert len(captured) == 1, "fig09_cell built more than one machine"
+    assert len(captured) == 1, "fig09_cell built more than one cluster"
     return result, captured[0]
 
 
 def _snapshot_cell(spec) -> dict:
-    result, machine = _capture_cell(spec)
-    vm = machine.vms[0]
-    swap_area = machine.swap_area
+    result, cluster = _capture_cell(spec)
+    vm = cluster.vms[0]
+    swap_area = cluster.hosts[0].swap_area
     return {
         "cell_key": cell_key(spec),
         "config": spec.config,
@@ -97,8 +94,8 @@ def _snapshot_cell(spec) -> dict:
         "swap_area_high_watermark": swap_area.high_watermark,
         "resident_pages": vm.resident_pages,
         "ept_present": len(vm.ept),
-        "events_dispatched": machine.engine.events_dispatched,
-        "final_virtual_time": machine.engine.now,
+        "events_dispatched": cluster.engine.events_dispatched,
+        "final_virtual_time": cluster.engine.now,
     }
 
 

@@ -54,8 +54,8 @@ def _content_kind(content) -> object:
 
 
 def _capture_cell(spec):
-    """Run one dynamic cell, capturing its machine, drivers and manager."""
-    machines: list = []
+    """Run one dynamic cell, capturing its cluster, drivers and manager."""
+    clusters: list = []
     drivers: list = []
     managers: list = []
 
@@ -67,15 +67,15 @@ def _capture_cell(spec):
         return build
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(dynamic_module, "Machine",
-                      capturing(dynamic_module.Machine, machines))
+        patch.setattr(dynamic_module, "Cluster",
+                      capturing(dynamic_module.Cluster, clusters))
         patch.setattr(dynamic_module, "VmDriver",
                       capturing(dynamic_module.VmDriver, drivers))
         patch.setattr(dynamic_module, "BalloonManager",
                       capturing(dynamic_module.BalloonManager, managers))
         result = dynamic_cell(spec)
-    assert len(machines) == 1, "the cell built more than one machine"
-    return result, machines[0], drivers, managers
+    assert len(clusters) == 1, "the cell built more than one cluster"
+    return result, clusters[0], drivers, managers
 
 
 def _vm_snapshot(driver) -> dict:
@@ -112,16 +112,16 @@ def _vm_snapshot(driver) -> dict:
 
 
 def _cell_snapshot(spec) -> dict:
-    result, machine, drivers, managers = _capture_cell(spec)
-    swap_area = machine.swap_area
-    slot_owner = machine.hypervisor.slot_owner
+    result, cluster, drivers, managers = _capture_cell(spec)
+    swap_area = cluster.hosts[0].swap_area
+    slot_owner = cluster.hosts[0].hypervisor.slot_owner
     history = [list(entry) for manager in managers
                for entry in manager.history]
     return {
         "cell_key": cell_key(spec),
         "result": result.to_dict(),
-        "events_dispatched": machine.engine.events_dispatched,
-        "final_virtual_time": machine.engine.now,
+        "events_dispatched": cluster.engine.events_dispatched,
+        "final_virtual_time": cluster.engine.now,
         # (time, vm_id, target) per manager decision: thousands of
         # entries, so the file keeps their count, peak and a hash.
         "balloon_history_len": len(history),

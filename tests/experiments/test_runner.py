@@ -2,6 +2,9 @@
 
 import pytest
 
+import repro.experiments.dynamic as dynamic_module
+import repro.experiments.runner as runner_module
+from repro.driver import VmDriver
 from repro.errors import ExperimentError
 from repro.experiments.runner import (
     ConfigName,
@@ -134,3 +137,41 @@ def test_timeline_sampling():
     assert len(times) > 3
     assert max(values) > 0
     assert "mapper_tracked" in result.timeline.series_names()
+
+
+class _StalledDriver(VmDriver):
+    """A driver whose step process is never scheduled, so the engine
+    drains while its workload is still unfinished."""
+
+    def __init__(self, vm, workload, **_options) -> None:
+        self.vm = vm
+        self.workload = workload
+        self.started_at = self.finished_at = None
+        self.crashed = False
+
+
+def _single_vm_run() -> None:
+    experiment = SingleVmExperiment(
+        guest_mib=16, actual_mib=8,
+        guest_config=scaled_guest_config(512, 32))
+    experiment.run(standard_configs([ConfigName.BASELINE])[0],
+                   SysbenchFileRead(file_pages=mib_pages(1), iterations=1,
+                                    min_resident_pages=0))
+
+
+def _fleet_run() -> None:
+    dynamic_module.run_phased(standard_configs([ConfigName.BASELINE])[0],
+                              num_guests=2, scale=64)
+
+
+@pytest.mark.parametrize("module, run", [
+    (runner_module, _single_vm_run),
+    (dynamic_module, _fleet_run),
+], ids=["single-vm", "fleet"])
+def test_drained_engine_is_a_typed_error(monkeypatch, module, run):
+    """An engine that runs dry before every workload finished is a
+    harness bug: both run loops raise ExperimentError, never a bare
+    RuntimeError and never a crashed cell."""
+    monkeypatch.setattr(module, "VmDriver", _StalledDriver)
+    with pytest.raises(ExperimentError, match="engine drained"):
+        run()

@@ -2,24 +2,25 @@
 
 import pytest
 
+from repro.cluster import Cluster
 from repro.config import FaultConfig, MachineConfig, VSwapperConfig
 from repro.errors import HostError
 from repro.guest.kernel import Transfer
-from repro.machine import Machine
 from repro.mem.page import AnonContent
 from tests.conftest import small_machine_config, small_vm_config
 
 
-def fault_machine(fault_config, *, seed=1, **host_overrides):
+def fault_cluster(fault_config, *, seed=1, **host_overrides):
     base = small_machine_config(**host_overrides)
-    return Machine(MachineConfig(
-        host=base.host, disk=base.disk, seed=seed, faults=fault_config))
+    return Cluster(MachineConfig(
+        host=base.host, disk=base.disk, seed=seed,
+        faults=fault_config).as_cluster())
 
 
-def thrash(machine, vm, pages=1200, rounds=2):
+def thrash(vm, pages=1200, rounds=2):
     """Touch a footprint far above the resident limit to force host
     swap-out and genuine disk swap-ins."""
-    hyp = machine.hypervisor
+    hyp = vm.host.hypervisor
     for _ in range(rounds):
         for i in range(pages):
             hyp.touch_page(vm, 0x1000 + i, write=True)
@@ -32,30 +33,30 @@ def thrash(machine, vm, pages=1200, rounds=2):
 def test_swap_read_failures_are_retried_not_silent():
     cfg = FaultConfig(enabled=True, swap_read_error_rate=0.4,
                       max_retries=20)
-    machine = fault_machine(cfg, swap_writeback_batch_pages=16)
-    vm = machine.create_vm(small_vm_config(resident_limit_mib=1))
-    thrash(machine, vm)
+    cluster = fault_cluster(cfg, swap_writeback_batch_pages=16)
+    vm = cluster.create_vm(small_vm_config(resident_limit_mib=1))
+    thrash(vm)
     counts = vm.counters.snapshot()
     assert counts["swap_read_retries"] > 0
     # Every retried read also re-touched the disk; data always arrived.
-    assert machine.faults.counters.snapshot()["swap_read_retries"] == \
+    assert cluster.faults.counters.snapshot()["swap_read_retries"] == \
         counts["swap_read_retries"]
 
 
 def test_swap_slot_corruption_surfaces_as_host_error():
     cfg = FaultConfig(enabled=True, swap_slot_corruption_rate=1.0)
-    machine = fault_machine(cfg, swap_writeback_batch_pages=16)
-    vm = machine.create_vm(small_vm_config(resident_limit_mib=1))
+    cluster = fault_cluster(cfg, swap_writeback_batch_pages=16)
+    vm = cluster.create_vm(small_vm_config(resident_limit_mib=1))
     with pytest.raises(HostError, match="corrupted"):
-        thrash(machine, vm)
+        thrash(vm)
     assert vm.counters.snapshot()["swap_slot_corruptions"] == 1
 
 
 def test_faultless_plan_leaves_swap_path_untouched():
     cfg = FaultConfig(enabled=True)  # all rates zero
-    machine = fault_machine(cfg, swap_writeback_batch_pages=16)
-    vm = machine.create_vm(small_vm_config(resident_limit_mib=1))
-    thrash(machine, vm)
+    cluster = fault_cluster(cfg, swap_writeback_batch_pages=16)
+    vm = cluster.create_vm(small_vm_config(resident_limit_mib=1))
+    thrash(vm)
     counts = vm.counters.snapshot()
     assert counts["swap_read_retries"] == 0
     assert counts["swap_slot_corruptions"] == 0
@@ -65,18 +66,16 @@ def test_faultless_plan_leaves_swap_path_untouched():
 # mapper circuit breaker (the Section 4.1 fallback)
 # ----------------------------------------------------------------------
 
-def breaker_machine(threshold=3, rate=1.0):
+def breaker_vm(threshold=3, rate=1.0):
     cfg = FaultConfig(enabled=True, mapper_invalidation_rate=rate,
                       mapper_breaker_threshold=threshold)
-    machine = fault_machine(cfg)
-    vm = machine.create_vm(small_vm_config(
+    return fault_cluster(cfg).create_vm(small_vm_config(
         vswapper=VSwapperConfig.mapper_only()))
-    return machine, vm
 
 
 def test_forced_invalidations_sever_associations():
-    machine, vm = breaker_machine(threshold=100)
-    machine.hypervisor.virtio_read(vm, [Transfer(0, 0x100)])
+    vm = breaker_vm(threshold=100)
+    vm.host.hypervisor.virtio_read(vm, [Transfer(0, 0x100)])
     # rate=1.0: the association built by the read was invalidated.
     assert not vm.mapper.is_tracked(0x100)
     assert vm.counters.snapshot()["mapper_forced_invalidations"] == 1
@@ -84,8 +83,8 @@ def test_forced_invalidations_sever_associations():
 
 
 def test_repeated_faults_trip_the_breaker():
-    machine, vm = breaker_machine(threshold=3)
-    hyp = machine.hypervisor
+    vm = breaker_vm(threshold=3)
+    hyp = vm.host.hypervisor
     for i in range(5):
         hyp.virtio_read(vm, [Transfer(i, 0x100 + i)])
     counts = vm.counters.snapshot()
@@ -97,8 +96,8 @@ def test_repeated_faults_trip_the_breaker():
 
 
 def test_degraded_vm_stops_tracking_but_keeps_running():
-    machine, vm = breaker_machine(threshold=2)
-    hyp = machine.hypervisor
+    vm = breaker_vm(threshold=2)
+    hyp = vm.host.hypervisor
     for i in range(10):
         hyp.virtio_read(vm, [Transfer(i, 0x200 + i)])
     assert vm.mapper.disabled
@@ -113,8 +112,8 @@ def test_degraded_vm_stops_tracking_but_keeps_running():
 def test_discarded_pages_survive_the_trip():
     """Associations discarded before the trip must stay refaultable --
     their only copy lives in the image."""
-    machine, vm = breaker_machine(threshold=1000, rate=0.0)
-    hyp = machine.hypervisor
+    vm = breaker_vm(threshold=1000, rate=0.0)
+    hyp = vm.host.hypervisor
     hyp.virtio_read(vm, [Transfer(3, 0x500)])
     assert vm.mapper.is_tracked_resident(0x500)
     vm.mapper.mark_discarded(0x500)
@@ -129,10 +128,11 @@ def test_breaker_trips_fall_back_without_consistency_errors():
     the whole point of the Section 4.1 fallback."""
     cfg = FaultConfig(enabled=True, mapper_invalidation_rate=0.2,
                       mapper_breaker_threshold=4)
-    machine = fault_machine(cfg, swap_writeback_batch_pages=16)
-    vm = machine.create_vm(small_vm_config(
+    cluster = fault_cluster(cfg, swap_writeback_batch_pages=16)
+    host = cluster.hosts[0]
+    vm = cluster.create_vm(small_vm_config(
         vswapper=VSwapperConfig.mapper_only(), resident_limit_mib=1))
-    hyp = machine.hypervisor
+    hyp = host.hypervisor
     for i in range(400):
         if i % 3 == 0:
             hyp.virtio_read(vm, [Transfer(i % 256, 0x100 + i % 512)])
@@ -143,4 +143,4 @@ def test_breaker_trips_fall_back_without_consistency_errors():
     # Frame accounting stayed exact through the degradation.
     accounted = (vm.ept.resident_pages + len(vm.qemu.resident)
                  + len(vm.swap_cache))
-    assert machine.frames.used == accounted
+    assert host.frames.used == accounted

@@ -2,8 +2,8 @@
 
 import pytest
 
+from repro.cluster import Cluster
 from repro.errors import GuestOomKill
-from repro.machine import Machine
 from repro.sim.ops import (
     Alloc,
     Compute,
@@ -64,9 +64,9 @@ def test_fsync_cleans_dirty_pages(vm):
     assert vm.counters.virtual_io_sectors >= 16 * 8
 
 
-def test_write_back_threshold_triggers(machine):
+def test_write_back_threshold_triggers(cluster):
     guest = small_guest_config(dirty_threshold_fraction=0.01)
-    vm = machine.create_vm(small_vm_config(guest=guest))
+    vm = cluster.create_vm(small_vm_config(guest=guest))
     vm.guest.fs.create_file("f", 256)
     run(vm, FileWrite("f", 0, 256))
     assert vm.guest.cache.dirty_pages < 256
@@ -227,11 +227,11 @@ def test_memory_stats_consistency(vm):
     assert accounted == stats["total"]
 
 
-def test_windows_guest_zeroes_free_pages(machine):
+def test_windows_guest_zeroes_free_pages(cluster):
     from repro.config import GuestOsKind
     guest_cfg = small_guest_config(
         os_kind=GuestOsKind.WINDOWS, zero_free_pages=True)
-    vm = machine.create_vm(small_vm_config(guest=guest_cfg))
+    vm = cluster.create_vm(small_vm_config(guest=guest_cfg))
     # Dirty some pages, free them, then run another op: the zero-page
     # thread should rewrite recycled frames with zeroes.
     run(vm, Alloc("h", 64), Touch("h", 0, 64, write=True), Free("h"))
@@ -242,9 +242,9 @@ def test_windows_guest_zeroes_free_pages(machine):
     assert zeroed > 0
 
 
-def test_unaligned_io_fraction_marks_transfers(machine):
+def test_unaligned_io_fraction_marks_transfers(cluster):
     guest_cfg = small_guest_config(unaligned_io_fraction=1.0)
-    vm = machine.create_vm(small_vm_config(guest=guest_cfg))
+    vm = cluster.create_vm(small_vm_config(guest=guest_cfg))
     assert not vm.guest._aligned()
 
 
@@ -255,14 +255,15 @@ def test_inflate_oom_mid_run_keeps_taken_pages_pinned():
     from tests.host.overwrite_oracle import alloc_gpa
 
     def build():
-        machine = Machine(small_machine_config())
-        vm = machine.create_vm(small_vm_config(guest=small_guest_config(
+        cluster = Cluster(small_machine_config().as_cluster())
+        host = cluster.hosts[0]
+        vm = cluster.create_vm(small_vm_config(guest=small_guest_config(
             allocator_window=8, guest_swap_pages=16)))
         guest = vm.guest
         guest.anon.commit("heap", 2000)
         for index in range(2000):
             gpa = alloc_gpa(guest)
-            machine.hypervisor.touch_page(vm, gpa, True, AnonContent(index))
+            host.hypervisor.touch_page(vm, gpa, True, AnonContent(index))
             guest.anon.place_in_memory("heap", index, gpa)
             guest.scanner.note_resident(gpa, named=False)
         return vm, guest

@@ -2,26 +2,26 @@
 
 import pytest
 
+from repro.cluster import Cluster
 from repro.config import VSwapperConfig
 from repro.errors import HostError
 from repro.guest.kernel import Transfer
-from repro.machine import Machine
 from repro.mem.page import ZERO, AnonContent
 from repro.sim.ops import WritePattern
 from tests.conftest import small_machine_config, small_vm_config
 
 
 @pytest.fixture
-def hyp(machine):
-    return machine.hypervisor
+def hyp(host):
+    return host.hypervisor
 
 
-def fill_to_limit(machine, vm, start_gpa=0x100, extra=0):
+def fill_to_limit(vm, start_gpa=0x100, extra=0):
     """Touch pages until the VM sits at its resident limit + extra."""
     limit = vm.resident_limit
     n = limit + extra
     for i in range(n):
-        machine.hypervisor.touch_page(vm, start_gpa + i, write=True)
+        vm.host.hypervisor.touch_page(vm, start_gpa + i, write=True)
     return start_gpa, n
 
 
@@ -48,35 +48,35 @@ def test_repeated_store_keeps_token(hyp, vm):
     assert vm.content_of(0x10) == first
 
 
-def test_frames_tracked_in_pool(hyp, machine, vm):
-    used = machine.frames.used
+def test_frames_tracked_in_pool(hyp, host, vm):
+    used = host.frames.used
     hyp.touch_page(vm, 0x10)
-    assert machine.frames.used == used + 1
+    assert host.frames.used == used + 1
 
 
 # ----------------------------------------------------------------------
 # uncooperative swap-out / swap-in
 # ----------------------------------------------------------------------
 
-def test_resident_limit_forces_eviction(machine, tight_vm):
-    fill_to_limit(machine, tight_vm, extra=64)
+def test_resident_limit_forces_eviction(tight_vm):
+    fill_to_limit(tight_vm, extra=64)
     assert tight_vm.resident_pages <= tight_vm.resident_limit
     assert tight_vm.counters.host_evictions > 0
     assert len(tight_vm.swap_slots) > 0
 
 
-def test_swap_out_writes_every_page(machine, tight_vm):
+def test_swap_out_writes_every_page(host, tight_vm):
     """No dirty bit for guest pages: everything is written."""
-    fill_to_limit(machine, tight_vm, extra=512)
-    machine.hypervisor._flush_swap_writes(tight_vm)
+    fill_to_limit(tight_vm, extra=512)
+    host.hypervisor._flush_swap_writes(tight_vm)
     written = tight_vm.counters.swap_sectors_written // 8
     swapped = len(tight_vm.swap_slots)
     assert written >= swapped > 0
 
 
-def test_swap_in_restores_content(machine, tight_vm):
-    hyp = machine.hypervisor
-    start, n = fill_to_limit(machine, tight_vm, extra=256)
+def test_swap_in_restores_content(host, tight_vm):
+    hyp = host.hypervisor
+    start, n = fill_to_limit(tight_vm, extra=256)
     victim = next(iter(tight_vm.swap_slots))
     content = tight_vm.content_of(victim)
     hyp.touch_page(tight_vm, victim)
@@ -85,10 +85,10 @@ def test_swap_in_restores_content(machine, tight_vm):
     assert tight_vm.counters.guest_context_faults >= 1
 
 
-def test_swap_cache_hit_avoids_disk(machine, tight_vm):
+def test_swap_cache_hit_avoids_disk(host, tight_vm):
     """A page whose write-back is still pending refaults for free."""
-    hyp = machine.hypervisor
-    fill_to_limit(machine, tight_vm, extra=8)
+    hyp = host.hypervisor
+    fill_to_limit(tight_vm, extra=8)
     pending = [g for g in tight_vm.pending_swap]
     assert pending
     reads_before = tight_vm.counters.swap_sectors_read
@@ -97,13 +97,13 @@ def test_swap_cache_hit_avoids_disk(machine, tight_vm):
     assert tight_vm.counters.extra.get("swap_cache_hits", 0) >= 1
 
 
-def test_silent_swap_writes_detected(machine, tight_vm):
+def test_silent_swap_writes_detected(host, tight_vm):
     """Pages identical to their image blocks still get written -- and
     counted as silent."""
-    hyp = machine.hypervisor
+    hyp = host.hypervisor
     transfers = [Transfer(100 + i, 0x100 + i) for i in range(64)]
     hyp.virtio_read(tight_vm, transfers)
-    fill_to_limit(machine, tight_vm, start_gpa=0x4000,
+    fill_to_limit(tight_vm, start_gpa=0x4000,
                   extra=128)
     assert tight_vm.counters.silent_swap_writes > 0
 
@@ -112,9 +112,9 @@ def test_silent_swap_writes_detected(machine, tight_vm):
 # stale swap reads
 # ----------------------------------------------------------------------
 
-def test_stale_read_on_swapped_dma_destination(machine, tight_vm):
-    hyp = machine.hypervisor
-    fill_to_limit(machine, tight_vm, extra=512)
+def test_stale_read_on_swapped_dma_destination(host, tight_vm):
+    hyp = host.hypervisor
+    fill_to_limit(tight_vm, extra=512)
     hyp._flush_swap_writes(tight_vm)
     victim = next(iter(tight_vm.swap_slots))
     hyp.virtio_read(tight_vm, [Transfer(500, victim)])
@@ -122,17 +122,17 @@ def test_stale_read_on_swapped_dma_destination(machine, tight_vm):
     assert tight_vm.counters.host_context_faults >= 1
 
 
-def test_no_stale_read_for_resident_destination(machine, vm):
-    hyp = machine.hypervisor
+def test_no_stale_read_for_resident_destination(host, vm):
+    hyp = host.hypervisor
     hyp.touch_page(vm, 0x20, write=True)
     hyp.virtio_read(vm, [Transfer(500, 0x20)])
     assert vm.counters.stale_reads == 0
 
 
-def test_mapper_eliminates_stale_reads(machine):
-    vm = machine.create_vm(small_vm_config(
+def test_mapper_eliminates_stale_reads(cluster, host):
+    vm = cluster.create_vm(small_vm_config(
         vswapper=VSwapperConfig.mapper_only(), resident_limit_mib=4))
-    hyp = machine.hypervisor
+    hyp = host.hypervisor
     # Read file blocks (tracked), force discards, then DMA into the
     # discarded destinations: no stale read should occur.
     transfers = [Transfer(100 + i, 0x100 + i) for i in range(2048)]
@@ -152,21 +152,21 @@ def overwrite(hyp, vm, gpa, pattern=WritePattern.FULL_SEQUENTIAL):
     hyp.overwrite_page(vm, gpa, AnonContent.fresh(), pattern)
 
 
-def test_false_read_on_swapped_overwrite_baseline(machine, tight_vm):
-    hyp = machine.hypervisor
-    fill_to_limit(machine, tight_vm, extra=512)
+def test_false_read_on_swapped_overwrite_baseline(host, tight_vm):
+    hyp = host.hypervisor
+    fill_to_limit(tight_vm, extra=512)
     hyp._flush_swap_writes(tight_vm)
     victim = next(iter(tight_vm.swap_slots))
     overwrite(hyp, tight_vm, victim)
     assert tight_vm.counters.false_reads == 1
 
 
-def test_preventer_remaps_full_overwrite(machine):
-    vm = machine.create_vm(small_vm_config(
+def test_preventer_remaps_full_overwrite(cluster, host):
+    vm = cluster.create_vm(small_vm_config(
         vswapper=VSwapperConfig(enable_preventer=True),
         resident_limit_mib=4))
-    hyp = machine.hypervisor
-    fill_to_limit(machine, vm, extra=512)
+    hyp = host.hypervisor
+    fill_to_limit(vm, extra=512)
     hyp._flush_swap_writes(vm)
     victim = next(iter(vm.swap_slots))
     reads_before = vm.counters.swap_sectors_read
@@ -177,12 +177,12 @@ def test_preventer_remaps_full_overwrite(machine):
     assert victim not in vm.swap_slots  # old backing dropped
 
 
-def test_preventer_scattered_pattern_falls_back(machine):
-    vm = machine.create_vm(small_vm_config(
+def test_preventer_scattered_pattern_falls_back(cluster, host):
+    vm = cluster.create_vm(small_vm_config(
         vswapper=VSwapperConfig(enable_preventer=True),
         resident_limit_mib=4))
-    hyp = machine.hypervisor
-    fill_to_limit(machine, vm, extra=512)
+    hyp = host.hypervisor
+    fill_to_limit(vm, extra=512)
     hyp._flush_swap_writes(vm)
     victim = next(iter(vm.swap_slots))
     overwrite(hyp, vm, victim, WritePattern.SCATTERED)
@@ -190,31 +190,31 @@ def test_preventer_scattered_pattern_falls_back(machine):
     assert vm.counters.preventer_remaps == 0
 
 
-def test_preventer_partial_write_buffers_then_merges(machine):
-    vm = machine.create_vm(small_vm_config(
+def test_preventer_partial_write_buffers_then_merges(cluster, host):
+    vm = cluster.create_vm(small_vm_config(
         vswapper=VSwapperConfig(enable_preventer=True),
         resident_limit_mib=4))
-    hyp = machine.hypervisor
-    fill_to_limit(machine, vm, extra=512)
+    hyp = host.hypervisor
+    fill_to_limit(vm, extra=512)
     hyp._flush_swap_writes(vm)
     victim = next(iter(vm.swap_slots))
     overwrite(hyp, vm, victim, WritePattern.PARTIAL)
     assert vm.preventer.is_emulated(victim)
     assert not vm.ept.is_present(victim)
     # Let the 1ms window lapse; the next op polls and merges.
-    machine.engine.clock.advance_by(0.002)
+    cluster.engine.clock.advance_by(0.002)
     hyp.touch_page(vm, 0x9000)
     assert not vm.preventer.is_emulated(victim)
     assert vm.ept.is_present(victim)
     assert vm.counters.preventer_merges == 1
 
 
-def test_preventer_read_of_buffered_page_merges_synchronously(machine):
-    vm = machine.create_vm(small_vm_config(
+def test_preventer_read_of_buffered_page_merges_synchronously(cluster, host):
+    vm = cluster.create_vm(small_vm_config(
         vswapper=VSwapperConfig(enable_preventer=True),
         resident_limit_mib=4))
-    hyp = machine.hypervisor
-    fill_to_limit(machine, vm, extra=512)
+    hyp = host.hypervisor
+    fill_to_limit(vm, extra=512)
     hyp._flush_swap_writes(vm)
     victim = next(iter(vm.swap_slots))
     overwrite(hyp, vm, victim, WritePattern.PARTIAL)
@@ -227,32 +227,32 @@ def test_preventer_read_of_buffered_page_merges_synchronously(machine):
 # Swap Mapper
 # ----------------------------------------------------------------------
 
-def make_mapper_vm(machine, limit_mib=4):
-    return machine.create_vm(small_vm_config(
+def make_mapper_vm(cluster, limit_mib=4):
+    return cluster.create_vm(small_vm_config(
         vswapper=VSwapperConfig.mapper_only(),
         resident_limit_mib=limit_mib))
 
 
-def test_virtio_read_tracks_pages(machine):
-    vm = make_mapper_vm(machine, limit_mib=8)
-    machine.hypervisor.virtio_read(vm, [Transfer(100, 0x10)])
+def test_virtio_read_tracks_pages(cluster, host):
+    vm = make_mapper_vm(cluster, limit_mib=8)
+    host.hypervisor.virtio_read(vm, [Transfer(100, 0x10)])
     assert vm.mapper.is_tracked_resident(0x10)
     assert vm.mapper.block_of(0x10) == 100
     assert vm.scanner.is_named(0x10)
 
 
-def test_virtio_write_tracks_after_write(machine):
-    vm = make_mapper_vm(machine, limit_mib=8)
-    machine.hypervisor.touch_page(vm, 0x10, write=True)
-    machine.hypervisor.virtio_write(vm, [Transfer(200, 0x10)])
+def test_virtio_write_tracks_after_write(cluster, host):
+    vm = make_mapper_vm(cluster, limit_mib=8)
+    host.hypervisor.touch_page(vm, 0x10, write=True)
+    host.hypervisor.virtio_write(vm, [Transfer(200, 0x10)])
     assert vm.mapper.is_tracked_resident(0x10)
     # The page equals the block it was just written to.
     assert vm.image.matches(200, vm.content_of(0x10))
 
 
-def test_guest_store_breaks_cow(machine):
-    vm = make_mapper_vm(machine, limit_mib=8)
-    hyp = machine.hypervisor
+def test_guest_store_breaks_cow(cluster, host):
+    vm = make_mapper_vm(cluster, limit_mib=8)
+    hyp = host.hypervisor
     hyp.virtio_read(vm, [Transfer(100, 0x10)])
     hyp.touch_page(vm, 0x10, write=True)
     assert not vm.mapper.is_tracked(0x10)
@@ -260,18 +260,18 @@ def test_guest_store_breaks_cow(machine):
     assert not vm.scanner.is_named(0x10)
 
 
-def test_eviction_discards_tracked_pages_without_write(machine):
-    vm = make_mapper_vm(machine)
-    hyp = machine.hypervisor
+def test_eviction_discards_tracked_pages_without_write(cluster, host):
+    vm = make_mapper_vm(cluster)
+    hyp = host.hypervisor
     transfers = [Transfer(100 + i, 0x100 + i) for i in range(2048)]
     hyp.virtio_read(vm, transfers)
     assert vm.counters.mapper_discards > 0
     assert vm.counters.swap_sectors_written == 0
 
 
-def test_refault_reads_from_image_with_readahead(machine):
-    vm = make_mapper_vm(machine)
-    hyp = machine.hypervisor
+def test_refault_reads_from_image_with_readahead(cluster, host):
+    vm = make_mapper_vm(cluster)
+    hyp = host.hypervisor
     transfers = [Transfer(100 + i, 0x100 + i) for i in range(2048)]
     hyp.virtio_read(vm, transfers)
     discarded = sorted(
@@ -288,9 +288,9 @@ def test_refault_reads_from_image_with_readahead(machine):
     assert refault_sectors >= 8
 
 
-def test_consistency_invalidation_on_block_overwrite(machine):
-    vm = make_mapper_vm(machine, limit_mib=8)
-    hyp = machine.hypervisor
+def test_consistency_invalidation_on_block_overwrite(cluster, host):
+    vm = make_mapper_vm(cluster, limit_mib=8)
+    hyp = host.hypervisor
     hyp.virtio_read(vm, [Transfer(100, 0x10)])
     # Another page writes to block 100 through ordinary I/O.
     hyp.touch_page(vm, 0x20, write=True)
@@ -299,9 +299,9 @@ def test_consistency_invalidation_on_block_overwrite(machine):
     assert vm.mapper.is_tracked_resident(0x20)
 
 
-def test_consistency_invalidation_fetches_discarded_content(machine):
-    vm = make_mapper_vm(machine)
-    hyp = machine.hypervisor
+def test_consistency_invalidation_fetches_discarded_content(cluster, host):
+    vm = make_mapper_vm(cluster)
+    hyp = host.hypervisor
     transfers = [Transfer(100 + i, 0x100 + i) for i in range(2048)]
     hyp.virtio_read(vm, transfers)
     discarded = [g for g in (0x100 + i for i in range(2048))
@@ -319,9 +319,9 @@ def test_consistency_invalidation_fetches_discarded_content(machine):
     assert vm.counters.mapper_invalidations == 1
 
 
-def test_unaligned_transfers_not_tracked(machine):
-    vm = make_mapper_vm(machine, limit_mib=8)
-    machine.hypervisor.virtio_read(
+def test_unaligned_transfers_not_tracked(cluster, host):
+    vm = make_mapper_vm(cluster, limit_mib=8)
+    host.hypervisor.virtio_read(
         vm, [Transfer(100, 0x10, aligned=False)])
     assert not vm.mapper.is_tracked(0x10)
 
@@ -330,23 +330,23 @@ def test_unaligned_transfers_not_tracked(machine):
 # false page anonymity (QEMU code pages)
 # ----------------------------------------------------------------------
 
-def test_code_pages_evicted_in_baseline_under_pressure(machine, tight_vm):
-    fill_to_limit(machine, tight_vm, extra=2048)
+def test_code_pages_evicted_in_baseline_under_pressure(host, tight_vm):
+    fill_to_limit(tight_vm, extra=2048)
     # Drive more virtual I/O: code refaults should show up.
-    hyp = machine.hypervisor
+    hyp = host.hypervisor
     for i in range(64):
         hyp.virtio_read(tight_vm, [Transfer(3000 + i, 0x8000 + i)])
     assert tight_vm.counters.hypervisor_code_faults > 0
 
 
-def test_mapper_protects_code_pages(machine):
-    vm = make_mapper_vm(machine)
-    hyp = machine.hypervisor
+def test_mapper_protects_code_pages(cluster, host):
+    vm = make_mapper_vm(cluster)
+    hyp = host.hypervisor
     transfers = [Transfer(100 + i, 0x100 + i) for i in range(2048)]
     hyp.virtio_read(vm, transfers)
     for i in range(64):
         hyp.virtio_read(vm, [Transfer(5000 + i, 0x8000 + i)])
-    baseline_vm = machine.create_vm(small_vm_config(
+    baseline_vm = cluster.create_vm(small_vm_config(
         name="vmb", resident_limit_mib=4))
     for i in range(2048):
         hyp.touch_page(baseline_vm, 0x100 + i, write=True)
@@ -361,48 +361,49 @@ def test_mapper_protects_code_pages(machine):
 # ----------------------------------------------------------------------
 
 def test_double_paging_on_guest_writeback_of_swapped_page(
-        machine, tight_vm):
-    hyp = machine.hypervisor
-    fill_to_limit(machine, tight_vm, extra=512)
+        host, tight_vm):
+    hyp = host.hypervisor
+    fill_to_limit(tight_vm, extra=512)
     hyp._flush_swap_writes(tight_vm)
     victim = next(iter(tight_vm.swap_slots))
     hyp.virtio_write(tight_vm, [Transfer(700, victim)])
     assert tight_vm.counters.double_paging == 1
 
 
-def test_balloon_pin_releases_everything(machine, tight_vm):
-    hyp = machine.hypervisor
-    fill_to_limit(machine, tight_vm, extra=512)
+def test_balloon_pin_releases_everything(host, tight_vm):
+    hyp = host.hypervisor
+    fill_to_limit(tight_vm, extra=512)
     resident_victim = next(iter(tight_vm.ept.present_gpas()))
     swapped_victim = next(iter(tight_vm.swap_slots))
-    used_before = machine.frames.used
+    used_before = host.frames.used
     hyp.balloon_pin(tight_vm, [resident_victim, swapped_victim])
     assert not tight_vm.ept.is_present(resident_victim)
     assert swapped_victim not in tight_vm.swap_slots
-    assert machine.frames.used == used_before - 1
+    assert host.frames.used == used_before - 1
     assert tight_vm.content_of(resident_victim) is ZERO
     hyp.balloon_unpin(tight_vm, [resident_victim])
     assert resident_victim not in tight_vm.ballooned
 
 
-def test_fault_on_unbacked_page_is_error(machine, vm):
+def test_fault_on_unbacked_page_is_error(host, vm):
     with pytest.raises(HostError):
-        machine.hypervisor._fault_in(vm, 0x999, "guest")
+        host.hypervisor._fault_in(vm, 0x999, "guest")
 
 
-def test_page_needs_zeroing(machine, vm):
-    hyp = machine.hypervisor
+def test_page_needs_zeroing(host, vm):
+    hyp = host.hypervisor
     assert not hyp.page_needs_zeroing(vm, 0x50)  # untouched => ZERO
     hyp.touch_page(vm, 0x50, write=True)
     assert hyp.page_needs_zeroing(vm, 0x50)
 
 
 def test_global_pressure_reclaims_biggest_vm():
-    machine = Machine(small_machine_config(
-        total_memory_pages=3000))
-    hyp = machine.hypervisor
-    big = machine.create_vm(small_vm_config(name="big"))
-    small = machine.create_vm(small_vm_config(name="small"))
+    cluster = Cluster(small_machine_config(
+        total_memory_pages=3000).as_cluster())
+    host = cluster.hosts[0]
+    hyp = host.hypervisor
+    big = cluster.create_vm(small_vm_config(name="big"))
+    small = cluster.create_vm(small_vm_config(name="small"))
     for i in range(2000):
         hyp.touch_page(big, 0x100 + i, write=True)
     for i in range(500):
@@ -411,14 +412,16 @@ def test_global_pressure_reclaims_biggest_vm():
     for i in range(700):
         hyp.touch_page(small, 0x5000 + i, write=True)
     assert big.counters.host_evictions > 0
-    assert machine.frames.used <= machine.frames.total_frames
+    assert host.frames.used <= host.frames.total_frames
 
 
 def test_hardware_dirty_bit_skips_clean_rewrites():
-    machine = Machine(small_machine_config(hardware_dirty_bit=True))
-    vm = machine.create_vm(small_vm_config(resident_limit_mib=4))
-    hyp = machine.hypervisor
-    fill_to_limit(machine, vm, extra=512)
+    cluster = Cluster(
+        small_machine_config(hardware_dirty_bit=True).as_cluster())
+    host = cluster.hosts[0]
+    vm = cluster.create_vm(small_vm_config(resident_limit_mib=4))
+    hyp = host.hypervisor
+    fill_to_limit(vm, extra=512)
     hyp._flush_swap_writes(vm)
     written_before = vm.counters.swap_sectors_written
     # Fault pages back (read-only) and force re-eviction.
@@ -435,12 +438,12 @@ def test_hardware_dirty_bit_skips_clean_rewrites():
     assert rewritten <= (1024 + 64) * 8
 
 
-def test_windows_unaligned_io_defeats_the_mapper(machine):
+def test_windows_unaligned_io_defeats_the_mapper(cluster):
     """A guest issuing sub-4KiB transfers gives the Mapper nothing to
     track (Section 5.4's motivation for reporting 4KiB sectors)."""
     from tests.conftest import small_guest_config
     guest_cfg = small_guest_config(unaligned_io_fraction=1.0)
-    vm = machine.create_vm(small_vm_config(
+    vm = cluster.create_vm(small_vm_config(
         vswapper=VSwapperConfig.mapper_only(), guest=guest_cfg))
     from repro.sim.ops import FileRead
     vm.guest.fs.create_file("f", 64)
@@ -448,14 +451,14 @@ def test_windows_unaligned_io_defeats_the_mapper(machine):
     assert vm.mapper.tracked_pages == 0
 
 
-def test_refault_consistency_self_check_fires(machine):
+def test_refault_consistency_self_check_fires(cluster, host):
     """Corrupting a tracked page's content behind the Mapper's back is
     caught by the refault self-check (ConsistencyError)."""
     import pytest as _pytest
     from repro.errors import ConsistencyError
     from repro.mem.page import AnonContent
-    vm = make_mapper_vm(machine)
-    hyp = machine.hypervisor
+    vm = make_mapper_vm(cluster)
+    hyp = host.hypervisor
     transfers = [Transfer(100 + i, 0x100 + i) for i in range(2048)]
     hyp.virtio_read(vm, transfers)
     discarded = next(g for g in (0x100 + i for i in range(2048))

@@ -19,10 +19,10 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
+from repro.cluster import Cluster
 from repro.config import VSwapperConfig
 from repro.errors import GuestOomKill, ReproError
 from repro.guest.kernel import Transfer
-from repro.machine import Machine
 from repro.mem.page import ZERO, AnonContent
 from repro.sim.ops import WritePattern
 from tests.conftest import (
@@ -78,15 +78,16 @@ def _vswapper_config(kind: str, max_pages: int) -> VSwapperConfig:
 
 
 def _build(sc: Scenario):
-    """A machine in the scenario's state, and the VM under test."""
-    machine = Machine(small_machine_config(
+    """A cluster in the scenario's state, and the VM under test."""
+    cluster = Cluster(small_machine_config(
         total_memory_pages=sc.host_frames, reclaim_noise=sc.noise,
-        hardware_dirty_bit=sc.hardware_dirty_bit))
-    vm = machine.create_vm(small_vm_config(
+        hardware_dirty_bit=sc.hardware_dirty_bit).as_cluster())
+    host = cluster.hosts[0]
+    vm = cluster.create_vm(small_vm_config(
         vswapper=_vswapper_config(sc.vswapper, sc.preventer_max_pages),
         resident_limit_mib=sc.limit_mib))
-    neighbour = machine.create_vm(small_vm_config(name="vm1"))
-    hyp = machine.hypervisor
+    neighbour = cluster.create_vm(small_vm_config(name="vm1"))
+    hyp = host.hypervisor
     for i in range(48):
         hyp.touch_page(neighbour, 0x100 + i, True, AnonContent(-1 - i))
     for i, gpa in enumerate(TOUCHED[:sc.touched]):
@@ -107,8 +108,8 @@ def _build(sc: Scenario):
         hyp.overwrite_page(vm, TOUCHED[pick % sc.touched],
                            AnonContent(9500 + pick), WritePattern.PARTIAL)
     if sc.expire:
-        machine.engine.clock.advance_by(0.01)
-    return machine, vm
+        cluster.engine.clock.advance_by(0.01)
+    return cluster, vm
 
 
 def _run_args(sc: Scenario, vm):
@@ -139,12 +140,13 @@ def _reclaim_rng_state(vm):
     return None
 
 
-def _state(machine) -> dict:
+def _state(cluster) -> dict:
     """Everything the simulator keeps, in comparable form."""
-    hyp = machine.hypervisor
-    area = machine.swap_area
+    host = cluster.hosts[0]
+    hyp = host.hypervisor
+    area = host.swap_area
     state = {
-        "frames_used": machine.frames.used,
+        "frames_used": host.frames.used,
         "slot_owner": {slot: (vm.name, gpa)
                        for slot, (vm, gpa) in hyp.slot_owner.items()},
         "swap_holes": dict(area._holes),
@@ -152,11 +154,11 @@ def _state(machine) -> dict:
         "swap_frontier": area._frontier,
         "swap_high_watermark": area.high_watermark,
         "hyp_rng": hyp.rng._random.getstate(),
-        "disk": (dataclasses.asdict(machine.disk.stats),
-                 machine.disk._busy_until, machine.disk._head_sector),
-        "now": machine.engine.now,
+        "disk": (dataclasses.asdict(host.disk.stats),
+                 host.disk._busy_until, host.disk._head_sector),
+        "now": cluster.engine.now,
     }
-    for vm in machine.vms:
+    for vm in cluster.vms:
         mapper = vm.mapper
         preventer = vm.preventer
         state[vm.name] = {
@@ -224,17 +226,17 @@ def test_overwrite_run_matches_per_page_oracle(sc):
     # buffered overwrite already changed its content (ROADMAP).  Those
     # states are not the run's to reproduce.
     assume(_outcome(lambda: _build(sc)) is None)
-    fast_machine, fast_vm = _build(sc)
-    slow_machine, slow_vm = _build(sc)
-    assert _state(fast_machine) == _state(slow_machine)
+    fast_cluster, fast_vm = _build(sc)
+    slow_cluster, slow_vm = _build(sc)
+    assert _state(fast_cluster) == _state(slow_cluster)
     gpas, contents = _run_args(sc, fast_vm)
-    fast = _outcome(lambda: fast_machine.hypervisor.overwrite_run(
+    fast = _outcome(lambda: fast_vm.host.hypervisor.overwrite_run(
         fast_vm, gpas, contents, sc.pattern, sc.guest_costs))
     slow = _outcome(lambda: overwrite_oracle.overwrite_run(
-        slow_machine.hypervisor, slow_vm, gpas, contents, sc.pattern,
+        slow_vm.host.hypervisor, slow_vm, gpas, contents, sc.pattern,
         sc.guest_costs))
     assert fast == slow
-    assert _state(fast_machine) == _state(slow_machine)
+    assert _state(fast_cluster) == _state(slow_cluster)
 
 
 @settings(max_examples=40, deadline=None,
@@ -242,12 +244,12 @@ def test_overwrite_run_matches_per_page_oracle(sc):
 @given(scenarios)
 def test_balloon_pin_matches_per_page_oracle(sc):
     assume(_outcome(lambda: _build(sc)) is None)
-    fast_machine, fast_vm = _build(sc)
-    slow_machine, slow_vm = _build(sc)
+    fast_cluster, fast_vm = _build(sc)
+    slow_cluster, slow_vm = _build(sc)
     gpas, _ = _run_args(sc, fast_vm)
-    fast_machine.hypervisor.balloon_pin(fast_vm, gpas)
-    overwrite_oracle.balloon_pin(slow_machine.hypervisor, slow_vm, gpas)
-    assert _state(fast_machine) == _state(slow_machine)
+    fast_vm.host.hypervisor.balloon_pin(fast_vm, gpas)
+    overwrite_oracle.balloon_pin(slow_vm.host.hypervisor, slow_vm, gpas)
+    assert _state(fast_cluster) == _state(slow_cluster)
 
 
 def test_oracle_scenarios_reach_every_page_kind():
@@ -258,7 +260,7 @@ def test_oracle_scenarios_reach_every_page_kind():
         swap_ins=(5, 70, 300), partial=(3, 40), flush=False,
         expire=False, run_from="backed", run=(0,), zero_mask=(),
         pattern=WritePattern.PARTIAL, guest_costs=())
-    machine, vm = _build(sc)
+    cluster, vm = _build(sc)
     assert vm.swap_slots and vm.pending_swap and vm.swap_cache
     assert vm.preventer._emulated
     assert any(vm.mapper.is_discarded(gpa) for gpa in IMAGE_READ)
@@ -276,17 +278,17 @@ def test_run_crossing_the_limit_charges_like_single_pages():
         swap_ins=(), partial=(), flush=False, expire=False,
         run_from="fresh", run=tuple(range(200)), zero_mask=(),
         pattern=WritePattern.FULL_SEQUENTIAL, guest_costs=(1e-6, 3.3e-7))
-    fast_machine, fast_vm = _build(sc)
-    slow_machine, slow_vm = _build(sc)
+    fast_cluster, fast_vm = _build(sc)
+    slow_cluster, slow_vm = _build(sc)
     gpas, contents = _run_args(sc, fast_vm)
     evictions = fast_vm.counters.host_evictions
-    fast_machine.hypervisor.overwrite_run(
+    fast_vm.host.hypervisor.overwrite_run(
         fast_vm, gpas, contents, sc.pattern, sc.guest_costs)
     overwrite_oracle.overwrite_run(
-        slow_machine.hypervisor, slow_vm, gpas, contents, sc.pattern,
+        slow_vm.host.hypervisor, slow_vm, gpas, contents, sc.pattern,
         sc.guest_costs)
     assert fast_vm.counters.host_evictions > evictions
-    assert _state(fast_machine) == _state(slow_machine)
+    assert _state(fast_cluster) == _state(slow_cluster)
 
 
 # ----------------------------------------------------------------------
@@ -306,21 +308,22 @@ class AllocScenario:
 
 
 def _build_guest(sc: AllocScenario):
-    machine = Machine(small_machine_config())
+    cluster = Cluster(small_machine_config().as_cluster())
+    host = cluster.hosts[0]
     guest_cfg = small_guest_config(
         allocator_window=sc.window, free_min_pages=sc.free_min,
         free_target_pages=sc.free_target,
         guest_swap_pages=sc.guest_swap_pages,
         kernel_reserve_pages=64, memory_pages=1024,
         unaligned_io_fraction=0.25)
-    vm = machine.create_vm(small_vm_config(guest=guest_cfg))
+    vm = cluster.create_vm(small_vm_config(guest=guest_cfg))
     guest = vm.guest
     # Fill the guest with reclaimable memory: anon pages (swappable)
     # and clean page-cache pages (droppable).
     guest.anon.commit("heap", sc.anon_pages)
     for index in range(sc.anon_pages):
         gpa = overwrite_oracle.alloc_gpa(guest)
-        machine.hypervisor.touch_page(vm, gpa, True, AnonContent(index + 1))
+        host.hypervisor.touch_page(vm, gpa, True, AnonContent(index + 1))
         guest.anon.place_in_memory("heap", index, gpa)
         guest.scanner.note_resident(gpa, named=False)
     for block in range(sc.cached_pages):
@@ -339,10 +342,10 @@ def _build_guest(sc: AllocScenario):
         original(want)
 
     guest._guest_reclaim = logged
-    return machine, guest, reclaims
+    return cluster, guest, reclaims
 
 
-def _guest_state(machine, guest) -> dict:
+def _guest_state(cluster, guest) -> dict:
     return {
         "free_list": list(guest.free_list),
         "rng": guest.rng._random.getstate(),
@@ -351,7 +354,7 @@ def _guest_state(machine, guest) -> dict:
         "cache": sorted(guest.cache._by_block.items()),
         "anon_list": list(guest.scanner.anon_list._entries),
         "named_list": list(guest.scanner.named_list._entries),
-        "host": _state(machine),
+        "host": _state(cluster),
     }
 
 
@@ -372,10 +375,10 @@ alloc_scenarios = st.builds(
           suppress_health_check=[HealthCheck.too_slow])
 @given(alloc_scenarios)
 def test_alloc_gpas_matches_single_page_allocations(sc):
-    fast_machine, fast_guest, fast_reclaims = _build_guest(sc)
-    slow_machine, slow_guest, slow_reclaims = _build_guest(sc)
-    assert _guest_state(fast_machine, fast_guest) == \
-        _guest_state(slow_machine, slow_guest)
+    fast_cluster, fast_guest, fast_reclaims = _build_guest(sc)
+    slow_cluster, slow_guest, slow_reclaims = _build_guest(sc)
+    assert _guest_state(fast_cluster, fast_guest) == \
+        _guest_state(slow_cluster, slow_guest)
     fast_taken: list[int] = []
     slow_taken: list[int] = []
 
@@ -387,15 +390,15 @@ def test_alloc_gpas_matches_single_page_allocations(sc):
     assert fast == _outcome(slow)
     assert fast_taken == slow_taken
     assert fast_reclaims == slow_reclaims
-    assert _guest_state(fast_machine, fast_guest) == \
-        _guest_state(slow_machine, slow_guest)
+    assert _guest_state(fast_cluster, fast_guest) == \
+        _guest_state(slow_cluster, slow_guest)
 
 
 def test_alloc_gpas_oom_mid_run_keeps_the_pages_taken():
     sc = AllocScenario(window=5, free_min=8, free_target=16,
                        guest_swap_pages=0, anon_pages=700, cached_pages=0,
                        before=(), n=400)
-    machine, guest, reclaims = _build_guest(sc)
+    cluster, guest, reclaims = _build_guest(sc)
     free = len(guest.free_list)
     taken: list[int] = []
     with pytest.raises(GuestOomKill):

@@ -3,7 +3,7 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.machine import Machine
+from repro.cluster import Cluster
 from repro.mem.lru import ClockList
 from repro.sim.rng import DeterministicRng
 from tests.conftest import small_machine_config, small_vm_config
@@ -20,7 +20,8 @@ GPA_STATES = ("absent", "stale", "clear", "accessed")
 
 
 def _fresh_vm():
-    return Machine(small_machine_config()).create_vm(small_vm_config())
+    cluster = Cluster(small_machine_config().as_cluster())
+    return cluster.create_vm(small_vm_config())
 
 
 def _install(vm, gpa_states, code_accessed, pinned) -> None:

@@ -23,9 +23,9 @@ def test_set_content_zero_prunes_entry(vm):
     assert vm.content_of(1) is ZERO
 
 
-def test_resident_counts_code_and_swap_cache(machine, vm):
+def test_resident_counts_code_and_swap_cache(host, vm):
     base = vm.resident_pages
-    machine.hypervisor.touch_page(vm, 0x10)
+    host.hypervisor.touch_page(vm, 0x10)
     assert vm.resident_pages == base + 1
     vm.qemu.mark_resident(0)
     assert vm.resident_pages == base + 2
@@ -33,11 +33,11 @@ def test_resident_counts_code_and_swap_cache(machine, vm):
     assert vm.resident_pages == base + 3
 
 
-def test_mapper_preventer_shortcuts(machine):
-    baseline = machine.create_vm(small_vm_config(name="b"))
+def test_mapper_preventer_shortcuts(cluster):
+    baseline = cluster.create_vm(small_vm_config(name="b"))
     assert baseline.mapper is None
     assert baseline.preventer is None
-    full = machine.create_vm(small_vm_config(
+    full = cluster.create_vm(small_vm_config(
         name="f", vswapper=VSwapperConfig.full()))
     assert full.mapper is not None
     assert full.preventer is not None
@@ -76,8 +76,8 @@ def test_dma_pin_blocks_eviction(vm):
     assert result.victims == [0x11]
 
 
-def test_refresh_gauges_tracks_mapper(machine):
-    vm = machine.create_vm(small_vm_config(
+def test_refresh_gauges_tracks_mapper(cluster):
+    vm = cluster.create_vm(small_vm_config(
         vswapper=VSwapperConfig.mapper_only()))
     vm.mapper.track(1, 100)
     vm.refresh_gauges()
@@ -89,6 +89,6 @@ def test_refresh_gauges_tracks_mapper(machine):
     assert vm.counters.mapper_tracked_peak == 1
 
 
-def test_hypervisor_satisfies_host_services(machine):
+def test_hypervisor_satisfies_host_services(host):
     from repro.host.interface import HostServices
-    assert isinstance(machine.hypervisor, HostServices)
+    assert isinstance(host.hypervisor, HostServices)

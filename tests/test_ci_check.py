@@ -176,3 +176,19 @@ def test_bench_failures(log, match, tmp_path):
     path = tmp_path / "bench.log"
     path.write_text(log)
     assert ci_check.main(["bench", str(path)]) == 1
+
+
+def test_loc_counts_python_files_and_lines(tmp_path, capsys):
+    (tmp_path / "pkg" / "sub").mkdir(parents=True)
+    (tmp_path / "pkg" / "a.py").write_text("x = 1\ny = 2\n")
+    (tmp_path / "pkg" / "sub" / "b.py").write_text('"""Doc."""\n\n\nz = 3\n')
+    (tmp_path / "pkg" / "notes.txt").write_text("not python\n" * 9)
+    assert ci_check.count_lines(tmp_path / "pkg") == {"files": 2, "lines": 6}
+    assert ci_check.main(["loc", str(tmp_path / "pkg")]) == 0
+    assert json.loads(capsys.readouterr().out) == {"files": 2, "lines": 6}
+
+
+def test_loc_fails_on_a_directory_without_python(tmp_path):
+    with pytest.raises(ci_check.CheckFailed, match=r"no \*\.py files"):
+        ci_check.count_lines(tmp_path)
+    assert ci_check.main(["loc", str(tmp_path)]) == 1

@@ -16,7 +16,7 @@ from repro.units import mib_pages
 
 
 def test_default_machine_config_validates():
-    MachineConfig().validate()
+    MachineConfig().as_cluster().validate()
 
 
 def test_disk_kind_checked():

@@ -7,6 +7,7 @@ import sys
 import pytest
 
 from repro.audit import paranoid_enabled
+from repro.cluster import Cluster
 from repro.config import FaultConfig
 from repro.context import RunContext, current_context, run_context
 from repro.errors import ConfigError
@@ -20,7 +21,6 @@ from repro.exec.supervisor import CellSupervisor
 from repro.experiments import registry
 from repro.experiments.runner import ConfigName, RunResult
 from repro.faults.plan import default_fault_config
-from repro.machine import Machine
 from repro.profiling import profiling_dir
 from repro.swapback.base import default_swap_backend
 from repro.trace import tracing_mode
@@ -32,7 +32,8 @@ PROBE = "context-probe"
 def _probe_cell(spec: CellSpec) -> RunResult:
     """Report whether a host built in this process installs an
     auditor, i.e. whether the worker saw ``paranoid``."""
-    audited = Machine(small_machine_config()).auditor is not None
+    host = Cluster(small_machine_config().as_cluster()).hosts[0]
+    audited = host.auditor is not None
     return RunResult(config=ConfigName.BASELINE, runtime=0.0,
                      crashed=False, counters={"audited": int(audited)})
 

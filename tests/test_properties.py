@@ -3,10 +3,10 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.cluster import Cluster
 from repro.config import VSwapperConfig
 from repro.core.preventer import FalseReadsPreventer, OverwriteVerdict
 from repro.guest.kernel import Transfer
-from repro.machine import Machine
 from repro.mem.page import ZERO
 from repro.sim.engine import Engine
 from repro.sim.ops import WritePattern
@@ -58,9 +58,10 @@ def test_engine_never_goes_backwards(delays):
 def test_hypervisor_access_sequences_conserve_frames(ops):
     """Arbitrary touch/overwrite sequences under pressure keep the
     frame pool consistent with per-VM residency."""
-    machine = Machine(small_machine_config())
-    vm = machine.create_vm(small_vm_config(resident_limit_mib=1))
-    hyp = machine.hypervisor
+    cluster = Cluster(small_machine_config().as_cluster())
+    host = cluster.hosts[0]
+    vm = cluster.create_vm(small_vm_config(resident_limit_mib=1))
+    hyp = host.hypervisor
     from repro.mem.page import AnonContent
     for is_write, page in ops:
         gpa = 0x100 + page
@@ -71,7 +72,7 @@ def test_hypervisor_access_sequences_conserve_frames(ops):
             hyp.touch_page(vm, gpa)
         accounted = (vm.ept.resident_pages + len(vm.qemu.resident)
                      + len(vm.swap_cache))
-        assert machine.frames.used == accounted
+        assert host.frames.used == accounted
         assert vm.resident_pages <= vm.resident_limit
         # A page is never both resident and swapped.
         assert not (vm.ept.is_present(gpa) and gpa in vm.swap_slots)
@@ -84,12 +85,13 @@ def test_mapper_consistency_under_random_io(blocks, use_mapper):
     """Random reads/writes over a small block space never violate the
     tracked-page == image-block invariant (the hypervisor self-checks
     on every refault and raises ConsistencyError if broken)."""
-    machine = Machine(small_machine_config())
+    cluster = Cluster(small_machine_config().as_cluster())
+    host = cluster.hosts[0]
     vswapper = (VSwapperConfig.mapper_only() if use_mapper
                 else VSwapperConfig.off())
-    vm = machine.create_vm(small_vm_config(
+    vm = cluster.create_vm(small_vm_config(
         vswapper=vswapper, resident_limit_mib=1))
-    hyp = machine.hypervisor
+    hyp = host.hypervisor
     for i, block in enumerate(blocks):
         gpa = 0x100 + (block % 64)
         if i % 3 == 0:
@@ -126,11 +128,13 @@ def test_fault_injection_preserves_determinism(seed):
             mapper_invalidation_rate=0.05,
             mapper_breaker_threshold=3,
         )
-        machine = Machine(MachineConfig(
-            host=base.host, disk=base.disk, seed=seed, faults=faults))
-        vm = machine.create_vm(small_vm_config(
+        cluster = Cluster(MachineConfig(
+            host=base.host, disk=base.disk, seed=seed,
+            faults=faults).as_cluster())
+        host = cluster.hosts[0]
+        vm = cluster.create_vm(small_vm_config(
             vswapper=VSwapperConfig.mapper_only(), resident_limit_mib=1))
-        hyp = machine.hypervisor
+        hyp = host.hypervisor
         trace = []
         for i in range(800):
             try:
@@ -142,8 +146,8 @@ def test_fault_injection_preserves_determinism(seed):
                                    write=(i % 2 == 0))
             except ReproError as error:
                 trace.append((i, type(error).__name__))
-        return (vm.counters.snapshot(), machine.disk.stats.requests,
-                machine.faults.counters.snapshot(), vm.degraded, trace)
+        return (vm.counters.snapshot(), host.disk.stats.requests,
+                cluster.faults.counters.snapshot(), vm.degraded, trace)
 
     assert fingerprint() == fingerprint()
 
@@ -156,12 +160,13 @@ def test_full_stack_determinism_per_seed(seed):
 
     def fingerprint():
         base = small_machine_config(reclaim_noise=0.1)
-        machine = Machine(MachineConfig(
-            host=base.host, disk=base.disk, seed=seed))
-        vm = machine.create_vm(small_vm_config(resident_limit_mib=2))
-        hyp = machine.hypervisor
+        cluster = Cluster(MachineConfig(
+            host=base.host, disk=base.disk, seed=seed).as_cluster())
+        host = cluster.hosts[0]
+        vm = cluster.create_vm(small_vm_config(resident_limit_mib=2))
+        hyp = host.hypervisor
         for i in range(1500):
             hyp.touch_page(vm, 0x100 + (i * 7) % 1024, write=(i % 2 == 0))
-        return vm.counters.snapshot(), machine.disk.stats.requests
+        return vm.counters.snapshot(), host.disk.stats.requests
 
     assert fingerprint() == fingerprint()

@@ -1,13 +1,14 @@
 """Checks the CI jobs run against sweep logs, result stores and
 benchmark payloads.
 
-Five subcommands::
+Six subcommands::
 
     python tools/ci_check.py resume LOG EXPERIMENT
     python tools/ci_check.py figures REF_DIR GOT_DIR [--require NAME]
     python tools/ci_check.py chaos FIRST_LOG RESUME_LOG
     python tools/ci_check.py payloads DIR
     python tools/ci_check.py bench LOG
+    python tools/ci_check.py loc DIR
 
 ``resume`` reads the totals line ``run EXPERIMENT --resume`` printed
 (``EXPERIMENT`` may be ``all``) and demands that every cell came from
@@ -35,6 +36,10 @@ must be the JSON result, with ``correct`` true, at least one attempted
 cell run and ``failed == 0``.  A cell that raised, a simulated counter
 that broke a workload check, or a renamed span boundary (which crashes
 every traced run) all fail it.
+
+``loc`` reports the size metric the ROADMAP tracks: the number of
+``*.py`` files under DIR and their total line count, printed as one
+JSON object ``{"files": N, "lines": M}``.  It gates on nothing.
 
 Exits 0 with a one-line summary, or 1 with the first failed check.
 """
@@ -167,6 +172,15 @@ def check_bench(log: str) -> str:
     return f"bench OK: {attempted} runs, all correct"
 
 
+def count_lines(directory: Path) -> dict[str, int]:
+    """``*.py`` files under ``directory`` and their total lines."""
+    paths = sorted(directory.rglob("*.py"))
+    if not paths:
+        raise CheckFailed(f"no *.py files under {directory}")
+    lines = sum(len(path.read_bytes().splitlines()) for path in paths)
+    return {"files": len(paths), "lines": lines}
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     commands = parser.add_subparsers(dest="command", required=True)
@@ -184,6 +198,8 @@ def main(argv: list[str] | None = None) -> int:
     payloads.add_argument("directory", type=Path)
     bench = commands.add_parser("bench", help="a perfbench run was correct")
     bench.add_argument("log", type=Path)
+    loc = commands.add_parser("loc", help="count python files and lines")
+    loc.add_argument("directory", type=Path)
     args = parser.parse_args(argv)
     try:
         if args.command == "resume":
@@ -195,6 +211,8 @@ def main(argv: list[str] | None = None) -> int:
                                   args.resume.read_text())
         elif args.command == "bench":
             summary = check_bench(args.log.read_text())
+        elif args.command == "loc":
+            summary = json.dumps(count_lines(args.directory))
         else:
             summary = check_payloads(args.directory)
     except CheckFailed as failure:
