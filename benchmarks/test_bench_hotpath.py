@@ -28,7 +28,7 @@ from repro.cluster import Cluster
 from repro.disk.device import DiskDevice
 from repro.disk.latency import HddLatencyModel
 from repro.sim.clock import Clock
-from tests.conftest import small_machine_config, small_vm_config
+from tests.conftest import small_cluster_config, small_vm_config
 
 #: Timing repeats per primitive; the best round is recorded (the other
 #: rounds absorb allocator warm-up and scheduler noise).
@@ -72,7 +72,7 @@ def _best_of(measure) -> dict:
 
 
 def _fresh_vm(*, resident_limit_mib=None):
-    cluster = Cluster(small_machine_config().as_cluster())
+    cluster = Cluster(small_cluster_config())
     return cluster.create_vm(
         small_vm_config(resident_limit_mib=resident_limit_mib))
 

@@ -12,7 +12,7 @@ Run:  python examples/balloon_vs_spike.py
 
 from repro import (
     Cluster,
-    MachineConfig,
+    ClusterConfig,
     GuestConfig,
     HostConfig,
     VmConfig,
@@ -20,6 +20,7 @@ from repro import (
     VmDriver,
 )
 from repro.balloon import BalloonManager, BalloonPolicy, ManagerConfig
+from repro.config import HostNodeConfig
 from repro.experiments.runner import run_to_completion
 from repro.metrics.timeline import Timeline
 from repro.sim.ops import Alloc, Compute, Touch
@@ -85,10 +86,10 @@ class QuietThenSpike(Workload):
 
 
 def run(vswapper: VSwapperConfig):
-    cluster = Cluster(MachineConfig(host=HostConfig(
+    cluster = Cluster(ClusterConfig(hosts=(HostNodeConfig(host=HostConfig(
         total_memory_pages=mib_pages(1600 / SCALE),
         swap_size_pages=mib_pages(8192 / SCALE),
-    )).as_cluster())
+    )),)))
     # A neighbour VM occupies most of the host.
     neighbour = cluster.create_vm(VmConfig(
         name="neighbour",

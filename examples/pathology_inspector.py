@@ -11,7 +11,7 @@ Run:  python examples/pathology_inspector.py
 
 from repro import (
     Cluster,
-    MachineConfig,
+    ClusterConfig,
     GuestConfig,
     VmConfig,
     VSwapperConfig,
@@ -25,7 +25,7 @@ SCALE = 4
 
 
 def run_config(vswapper: VSwapperConfig):
-    cluster = Cluster(MachineConfig().as_cluster())
+    cluster = Cluster(ClusterConfig())
     vm = cluster.create_vm(VmConfig(
         name="probe",
         guest=GuestConfig(

@@ -11,7 +11,7 @@ Run:  python examples/quickstart.py
 
 from repro import (
     Cluster,
-    MachineConfig,
+    ClusterConfig,
     GuestConfig,
     VmConfig,
     VSwapperConfig,
@@ -32,7 +32,7 @@ CONFIGS = [
 
 
 def run_one(label: str, vswapper: VSwapperConfig, ballooned: bool) -> None:
-    cluster = Cluster(MachineConfig().as_cluster())   # one host
+    cluster = Cluster(ClusterConfig())   # one host
     guest_pages = mib_pages(512 / SCALE)
     actual_pages = mib_pages(100 / SCALE)
 

@@ -8,12 +8,12 @@ two mechanisms -- the Swap Mapper and the False Reads Preventer.
 
 Quickstart::
 
-    from repro import (Cluster, MachineConfig, VmConfig, GuestConfig,
+    from repro import (Cluster, ClusterConfig, VmConfig, GuestConfig,
                        VSwapperConfig, VmDriver)
     from repro.workloads import SysbenchFileRead
     from repro.units import mib_pages
 
-    cluster = Cluster(MachineConfig().as_cluster())   # one host
+    cluster = Cluster(ClusterConfig())   # one host
     vm = cluster.create_vm(VmConfig(
         guest=GuestConfig(memory_pages=mib_pages(512)),
         vswapper=VSwapperConfig.full(),
@@ -27,12 +27,12 @@ Quickstart::
 
 from repro.cluster import Cluster
 from repro.config import (
+    ClusterConfig,
     DiskConfig,
     GuestConfig,
     GuestOsKind,
     HostConfig,
     HypervisorKind,
-    MachineConfig,
     VSwapperConfig,
     VmConfig,
 )
@@ -53,7 +53,7 @@ __version__ = "1.0.0"
 __all__ = [
     "__version__",
     "Cluster",
-    "MachineConfig",
+    "ClusterConfig",
     "DiskConfig",
     "HostConfig",
     "GuestConfig",

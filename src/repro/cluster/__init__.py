@@ -11,8 +11,8 @@ The package holds the only host assembly in the simulator:
   per-node overcommit/swap budgets, pressure-driven migration, and
   host-failure recovery (``repro.cluster.recovery``).
 
-A single-host run is a cluster of one:
-``Cluster(MachineConfig(...).as_cluster())``, with the host's parts at
+A single-host run is a cluster of one: ``Cluster(ClusterConfig(...))``
+(the default ``hosts`` is one unbudgeted node), with the host's parts at
 ``cluster.hosts[0]`` (or ``vm.host``).
 """
 

@@ -11,10 +11,10 @@ seed, same fleet => bit-identical placements, migration log, and
 per-VM counters, serial or parallel.
 
 A cluster of exactly one host -- what every single-host experiment
-builds from :meth:`repro.config.MachineConfig.as_cluster` -- hands the
-*root* RNG to that host: its fork labels are then the bare
-``"hypervisor"``, ``"reclaim-<vm>"`` and ``"guest-<vm>"``, which every
-single-host figure and cache key was recorded with.  Multi-host
+builds, e.g. ``ClusterConfig(seed=...)`` -- hands the *root* RNG to
+that host: its fork labels are then the bare ``"hypervisor"``,
+``"reclaim-<vm>"`` and ``"guest-<vm>"``, which every single-host
+figure and cache key was recorded with.  Multi-host
 clusters fork per host (``"host-<name>"``) so each node gets an
 independent stream.
 """

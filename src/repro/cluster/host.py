@@ -262,9 +262,6 @@ class Host:
             vm_config.guest, vm, self.hypervisor,
             image.size_blocks, self.rng.fork(f"guest-{vm_config.name}"))
         self.adopt_vm(vm)
-
-        if vm_config.static_balloon_pages:
-            self.apply_static_balloon(vm, vm_config.static_balloon_pages)
         return vm
 
     def adopt_vm(self, vm: Vm) -> None:

@@ -336,8 +336,6 @@ class GuestConfig:
     kernel_reserve_pages: int = mib_pages(16)
     #: CPU cost of zeroing one page on allocation.
     zero_page_cost: float = 1.0 * USEC
-    #: CPU cost of copying one page (COW, pipes).
-    copy_page_cost: float = 1.2 * USEC
     #: Page-allocator scramble window: a fresh page is drawn uniformly
     #: from the last this-many free-list entries, modelling buddy
     #: coalescing/splitting disorder.  1 = strict LIFO.  The disorder
@@ -421,11 +419,6 @@ class VmConfig:
     #: cgroup-style cap on the VM's host-resident pages (None = only
     #: global pressure applies).
     resident_limit_pages: int | None = None
-    #: Statically inflated balloon (controlled experiments).  None means
-    #: no balloon; a manager may still drive the balloon dynamically.
-    static_balloon_pages: int | None = None
-    #: Number of vCPUs (drives async-fault overlap potential).
-    vcpus: int = 1
 
     def validate(self) -> None:
         self.guest.validate()
@@ -625,7 +618,7 @@ class HostNodeConfig:
     disk: DiskConfig = field(default_factory=DiskConfig)
     #: Admission control: the sum of believed guest memory placed on
     #: this node may reach this multiple of its physical frames
-    #: (None = unlimited, what :meth:`MachineConfig.as_cluster` builds).
+    #: (None = unlimited, the default one-host cluster's setting).
     overcommit_ratio: float | None = None
     #: ``memory.swap.max``-style cap on host swap slots this node may
     #: fill (None = the whole swap area; 0 = swapping forbidden).
@@ -702,38 +695,6 @@ class ClusterConfig:
             self.faults.validate()
 
 
-@dataclass(frozen=True)
-class MachineConfig:
-    """The whole physical host (one-host alias of :class:`ClusterConfig`)."""
-
-    host: HostConfig = field(default_factory=HostConfig)
-    disk: DiskConfig = field(default_factory=DiskConfig)
-    seed: int = 1
-    #: Fault-injection plan; None means no fault layer at all (not even
-    #: watchdogs).  See :class:`FaultConfig`.
-    faults: FaultConfig | None = None
-    #: Swap destination; None = the machine's own disk (bit-identical
-    #: to the pre-backend swap path).  See :class:`SwapBackendConfig`.
-    swap_backend: SwapBackendConfig | None = None
-
-    def as_cluster(self) -> ClusterConfig:
-        """The equivalent cluster of one unbudgeted node.
-
-        Every single-host run builds ``Cluster(config.as_cluster())``,
-        which validates it.  The single node draws from the root RNG
-        (no per-host fork), no budgets gate its swap area, and no
-        migration controller is scheduled.
-        """
-        return ClusterConfig(
-            hosts=(HostNodeConfig(
-                name="host0", host=self.host, disk=self.disk,
-                swap_budget_pages=None,
-                swap_backend=self.swap_backend),),
-            seed=self.seed,
-            faults=self.faults,
-        )
-
-
 def scaled_pages(pages: int, scale: int) -> int:
     """Divide a page count by the experiment scale factor (min 1 page).
 
@@ -756,7 +717,6 @@ __all__ = [
     "HostConfig",
     "HostNodeConfig",
     "HypervisorKind",
-    "MachineConfig",
     "PLACEMENT_POLICIES",
     "SWAP_BACKEND_KINDS",
     "SwapBackendConfig",

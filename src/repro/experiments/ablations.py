@@ -21,7 +21,13 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import Mapping, Sequence
 
-from repro.config import DiskConfig, HostConfig, MachineConfig, VSwapperConfig
+from repro.config import (
+    ClusterConfig,
+    DiskConfig,
+    HostConfig,
+    HostNodeConfig,
+    VSwapperConfig,
+)
 from repro.exec.spec import CellSpec, Sweep
 from repro.experiments.runner import (
     ConfigName,
@@ -51,13 +57,14 @@ DEFAULT_PREVENTER_CAPS = (8, 32, 128)
 DEFAULT_CLUSTERS = (1, 4, 8, 16, 32)
 
 
-def _sysbench_experiment(scale: int,
-                         machine_config: MachineConfig | None = None,
+def _sysbench_experiment(spec: CellSpec,
+                         node: HostNodeConfig = HostNodeConfig(),
                          ) -> SingleVmExperiment:
+    """Fig. 9's guest on one host built from ``node``."""
+    scale = spec.scale
     return SingleVmExperiment(
-        guest_mib=512 / scale,
         actual_mib=100 / scale,
-        machine_config=machine_config or MachineConfig(),
+        cluster_config=ClusterConfig(hosts=(node,), seed=spec.seed),
         guest_config=scaled_guest_config(512, scale),
         files=[("sysbench.dat", mib_pages(200 / scale))],
     )
@@ -80,10 +87,8 @@ def build_dirty_bit_sweep(*, scale: int = 1) -> Sweep:
 def dirty_bit_cell(spec: CellSpec) -> RunResult:
     """Baseline swapping with/without a guest-page dirty bit."""
     scale = spec.scale
-    machine_config = MachineConfig(
-        seed=spec.seed,
-        host=HostConfig(hardware_dirty_bit=spec.params["hardware_dirty_bit"]))
-    experiment = _sysbench_experiment(scale, machine_config)
+    experiment = _sysbench_experiment(spec, HostNodeConfig(
+        host=HostConfig(hardware_dirty_bit=spec.params["hardware_dirty_bit"])))
     config = standard_configs([ConfigName(spec.config)])[0]
     return experiment.run(config, SysbenchFileRead(
         file_pages=mib_pages(200 / scale), iterations=4))
@@ -133,10 +138,8 @@ def build_ssd_sweep(*, scale: int = 1) -> Sweep:
 def ssd_cell(spec: CellSpec) -> RunResult:
     """Run sysbench x4 on one (disk technology, config) cell."""
     scale = spec.scale
-    machine_config = MachineConfig(
-        seed=spec.seed,
-        disk=DiskConfig(kind=spec.params["disk_kind"]))
-    experiment = _sysbench_experiment(scale, machine_config)
+    experiment = _sysbench_experiment(spec, HostNodeConfig(
+        disk=DiskConfig(kind=spec.params["disk_kind"])))
     config = standard_configs([ConfigName(spec.config)])[0]
     return experiment.run(config, SysbenchFileRead(
         file_pages=mib_pages(200 / scale), iterations=4))
@@ -199,7 +202,7 @@ def preventer_cell(spec: CellSpec) -> RunResult:
         preventer_max_pages=spec.params["cap"],
     )
     config = ConfigSpec(ConfigName(spec.config), vswapper, False)
-    experiment = _sysbench_experiment(scale, MachineConfig(seed=spec.seed))
+    experiment = _sysbench_experiment(spec)
     return experiment.run(config, SysbenchThenAlloc(
         file_pages=mib_pages(200 / scale),
         alloc_pages=mib_pages(200 / scale)))
@@ -251,10 +254,8 @@ def build_cluster_sweep(
 def cluster_cell(spec: CellSpec) -> RunResult:
     """Run baseline sysbench x4 with one readahead cluster size."""
     scale = spec.scale
-    machine_config = MachineConfig(
-        seed=spec.seed,
-        host=HostConfig(swap_cluster_pages=spec.params["cluster"]))
-    experiment = _sysbench_experiment(scale, machine_config)
+    experiment = _sysbench_experiment(spec, HostNodeConfig(
+        host=HostConfig(swap_cluster_pages=spec.params["cluster"])))
     config = standard_configs([ConfigName(spec.config)])[0]
     return experiment.run(config, SysbenchFileRead(
         file_pages=mib_pages(200 / scale), iterations=4))

@@ -17,7 +17,7 @@ store or in a worker process sees the exact same injections.
 
 from __future__ import annotations
 
-from repro.config import FaultConfig, MachineConfig
+from repro.config import ClusterConfig, FaultConfig
 from repro.exec.spec import CellSpec, Sweep, fault_params, faults_from_params
 from repro.experiments.runner import (
     ConfigName,
@@ -65,10 +65,9 @@ def chaos_cell(spec: CellSpec) -> RunResult:
     """Run the Fig. 3 workload under one config and the fault plan."""
     scale = spec.scale
     experiment = SingleVmExperiment(
-        guest_mib=512 / scale,
         actual_mib=100 / scale,
         guest_config=scaled_guest_config(512, scale),
-        machine_config=MachineConfig(
+        cluster_config=ClusterConfig(
             seed=spec.seed, faults=faults_from_params(spec.faults)),
         files=[("sysbench.dat", mib_pages(200 / scale))],
     )

@@ -5,7 +5,7 @@ asks the operator's follow-up question: *how densely can a small fleet
 be packed before per-guest slowdown becomes unacceptable, and how much
 does the answer depend on swapping quality?*  A four-node cluster with
 per-node overcommit ratios and ``memory.swap.max``-style swap budgets
-places 4/8/12 phased MapReduce guests under each placement policy
+places 4/8/16 phased MapReduce guests under each placement policy
 (``first-fit``, ``balance``, ``pack``) and both swapping configurations
 (``baseline``, ``vswapper``), with pressure-driven live migration
 rebalancing nodes whose swap budget fills past the threshold.
@@ -20,27 +20,24 @@ and cluster runs stay bit-deterministic either way.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from repro.cluster import Cluster
 from repro.config import (
     ClusterConfig,
     ClusterMigrationConfig,
+    FaultConfig,
     HostConfig,
     HostNodeConfig,
     PLACEMENT_POLICIES,
 )
 from repro.exec.spec import CellSpec, Sweep
-from repro.experiments.dynamic import FLEET_SLICE_SECONDS, deploy_fleet
+from repro.experiments.dynamic import run_fleet
 from repro.experiments.runner import (
     ConfigName,
-    ConfigSpec,
     FigureResult,
     PhaseMark,
     RunResult,
     run_guarded,
-    run_to_completion,
     standard_configs,
 )
 from repro.metrics.report import Table
@@ -58,68 +55,53 @@ FLEET_SIZES = (4, 8, 16)
 SOLO = "solo"
 
 
-@dataclass
-class ClusterFleetResult:
-    """Outcome of one fleet run on the cluster."""
+#: Every fleet guest believes it has this much memory (scale 1).
+GUEST_MIB = 2048
 
-    config: ConfigName
-    policy: str
-    runtimes: list[float]
-    crashes: int
-    placements: list[tuple[str, str]]
-    migrations: list
+#: Seconds between consecutive guests' starts (scale 1).
+STAGGER_SECONDS = 10.0
 
+#: Physical memory of each node (scale 1).
+NODE_MIB = 4096
 
-def _fleet_nodes(num_hosts: int, *, scale: int, host_mib: float,
-                 overcommit_ratio: float | None, swap_budget_mib: float,
-                 pressure_threshold: float) -> tuple[HostNodeConfig, ...]:
-    """Homogeneous node specs for the experiment's fleet."""
-    return tuple(
-        HostNodeConfig(
-            name=f"node{i}",
-            host=HostConfig(
-                total_memory_pages=mib_pages(host_mib / scale),
-                swap_size_pages=mib_pages(8 * 1024 / scale),
-            ),
-            overcommit_ratio=overcommit_ratio,
-            swap_budget_pages=mib_pages(swap_budget_mib / scale),
-            pressure_threshold=pressure_threshold,
-        )
-        for i in range(num_hosts))
+#: Admission: believed guest memory may reach this multiple of a
+#: node's frames.
+OVERCOMMIT_RATIO = 2.0
+
+#: Each node's ``memory.swap.max``-style budget (scale 1)...
+SWAP_BUDGET_MIB = 512
+
+#: ...and the share of it in use at which the node reports pressure.
+PRESSURE_THRESHOLD = 0.5
 
 
-def run_cluster_fleet(spec: ConfigSpec, *, num_guests: int,
-                      num_hosts: int = 4, policy: str = "first-fit",
-                      scale: int = 1, stagger_seconds: float = 10.0,
-                      host_mib: float = 4096, guest_mib: float = 2048,
-                      overcommit_ratio: float | None = 2.0,
-                      swap_budget_mib: float = 512,
-                      pressure_threshold: float = 0.5,
-                      migration_enabled: bool = True,
-                      seed: int = 1) -> ClusterFleetResult:
-    """Run ``num_guests`` phased MapReduce guests across the cluster."""
-    cluster = Cluster(ClusterConfig(
-        hosts=_fleet_nodes(
-            num_hosts, scale=scale, host_mib=host_mib,
-            overcommit_ratio=overcommit_ratio,
-            swap_budget_mib=swap_budget_mib,
-            pressure_threshold=pressure_threshold),
+def fleet_config(*, num_hosts: int, policy: str, scale: int, seed: int,
+                 migration: bool,
+                 faults: FaultConfig | None = None) -> ClusterConfig:
+    """The experiment's cluster: ``num_hosts`` identical budgeted nodes.
+
+    ``migration`` turns the pressure-driven controller on; it checks
+    node pressure every ``5 / scale`` virtual seconds.
+    """
+    return ClusterConfig(
+        hosts=tuple(
+            HostNodeConfig(
+                name=f"node{i}",
+                host=HostConfig(
+                    total_memory_pages=mib_pages(NODE_MIB / scale),
+                    swap_size_pages=mib_pages(8 * 1024 / scale),
+                ),
+                overcommit_ratio=OVERCOMMIT_RATIO,
+                swap_budget_pages=mib_pages(SWAP_BUDGET_MIB / scale),
+                pressure_threshold=PRESSURE_THRESHOLD,
+            )
+            for i in range(num_hosts)),
         placement=policy,
         migration=ClusterMigrationConfig(
-            enabled=migration_enabled,
-            check_interval=5.0 / scale),
+            enabled=migration, check_interval=5.0 / scale),
         seed=seed,
-    ))
-    drivers = deploy_fleet(cluster, spec, num_guests=num_guests,
-                           scale=scale, stagger_seconds=stagger_seconds,
-                           guest_mib=guest_mib)
-    run_to_completion(cluster.engine, drivers,
-                      slice_seconds=FLEET_SLICE_SECONDS)
-    runtimes = [d.runtime for d in drivers if not d.crashed]
-    crashes = sum(1 for d in drivers if d.crashed)
-    return ClusterFleetResult(
-        spec.name, policy, runtimes, crashes,
-        list(cluster.placements), list(cluster.migrations))
+        faults=faults,
+    )
 
 
 def _fleet_cells(config_names: Sequence[ConfigName],
@@ -180,34 +162,36 @@ def cluster_fleet_cell(spec: CellSpec) -> RunResult:
     config = standard_configs([ConfigName(spec.config)])[0]
 
     def run() -> RunResult:
-        outcome = run_cluster_fleet(
+        cluster, drivers = run_fleet(
+            fleet_config(num_hosts=spec.params["num_hosts"],
+                         policy=spec.params["policy"], scale=spec.scale,
+                         seed=spec.seed, migration=True),
             config,
             num_guests=spec.params["num_guests"],
-            num_hosts=spec.params["num_hosts"],
-            policy=spec.params["policy"],
             scale=spec.scale,
-            seed=spec.seed,
+            stagger_seconds=STAGGER_SECONDS,
+            guest_mib=GUEST_MIB,
         )
-        runtime = (sum(outcome.runtimes) / len(outcome.runtimes)
-                   if outcome.runtimes else None)
+        runtimes = [d.runtime for d in drivers if not d.crashed]
+        migrations = cluster.migrations
         phases = [PhaseMark("placement", {"vm": vm, "host": host}, 0.0)
-                  for vm, host in outcome.placements]
+                  for vm, host in cluster.placements]
         phases += [PhaseMark("migration", record.to_dict(), record.time)
-                   for record in outcome.migrations]
+                   for record in migrations]
         phases += [PhaseMark("guest-runtime", {"runtime": r}, r)
-                   for r in outcome.runtimes]
+                   for r in runtimes]
         return RunResult(
             config=config.name,
-            runtime=runtime,
+            runtime=sum(runtimes) / len(runtimes) if runtimes else None,
             crashed=False,
             counters={
-                "oom_kills": outcome.crashes,
-                "guests_completed": len(outcome.runtimes),
-                "migrations": len(outcome.migrations),
+                "oom_kills": len(drivers) - len(runtimes),
+                "guests_completed": len(runtimes),
+                "migrations": len(migrations),
                 "migration_pages": sum(
-                    r.carried_pages for r in outcome.migrations),
+                    r.carried_pages for r in migrations),
                 "migration_bytes": sum(
-                    int(r.transferred_bytes) for r in outcome.migrations),
+                    int(r.transferred_bytes) for r in migrations),
             },
             phases=phases,
         )

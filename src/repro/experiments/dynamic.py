@@ -11,22 +11,23 @@ Both CLI ids (``fig4``, ``fig14``) declare cells under the harness id
 ``dynamic``: Figure 4 is Figure 14's ten-guest column, so with a
 result store the bar chart comes for free after the full grid.
 
-Each cell folds its :class:`DynamicResult` into a ``RunResult``:
-``runtime`` is the average completion time (``None`` when every guest
-was killed -- JSON has no NaN), ``counters`` carry ``oom_kills`` and
-``guests_completed``, and one ``guest-runtime`` phase mark records
-each finisher.  Figure 14 series are keyed ``series[config][str(n)]``.
+Each cell runs :func:`run_fleet`, the one fleet runner the cluster and
+cluster-chaos experiments share, and folds its drivers into a
+``RunResult``: ``runtime`` is the average completion time (``None``
+when every guest was killed -- JSON has no NaN), ``counters`` carry
+``oom_kills`` and ``guests_completed``, and one ``guest-runtime`` phase
+mark records each finisher.  Figure 14 series are keyed
+``series[config][str(n)]``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from repro.balloon.manager import BalloonManager, ManagerConfig
 from repro.balloon.policy import BalloonPolicy
 from repro.cluster import Cluster
-from repro.config import HostConfig, MachineConfig, VmConfig
+from repro.config import ClusterConfig, HostConfig, HostNodeConfig, VmConfig
 from repro.driver import VmDriver
 from repro.exec.spec import CellSpec, Sweep
 from repro.experiments.runner import (
@@ -63,22 +64,6 @@ FIG04_CONFIGS = (
 )
 
 
-@dataclass
-class DynamicResult:
-    """Outcome of one phased multi-guest run."""
-
-    config: ConfigName
-    runtimes: list[float]
-    crashes: int
-
-    @property
-    def average_runtime(self) -> float:
-        """Mean completion time over guests that finished."""
-        if not self.runtimes:
-            return float("nan")
-        return sum(self.runtimes) / len(self.runtimes)
-
-
 def make_mapreduce(scale: int, seed: int) -> MetisMapReduce:
     """A Metis word-count sized for ``scale``."""
     return MetisMapReduce(
@@ -90,15 +75,20 @@ def make_mapreduce(scale: int, seed: int) -> MetisMapReduce:
     )
 
 
-def deploy_fleet(cluster: Cluster, spec: ConfigSpec, *,
-                 num_guests: int, scale: int, stagger_seconds: float,
-                 guest_mib: float = 2048) -> list[VmDriver]:
-    """Place ``num_guests`` phased MapReduce guests and their drivers.
+def run_fleet(config: ClusterConfig, spec: ConfigSpec, *,
+              num_guests: int, scale: int, stagger_seconds: float,
+              guest_mib: float) -> tuple[Cluster, list[VmDriver]]:
+    """Run ``num_guests`` phased MapReduce guests on a cluster built
+    from ``config``, under one swapping configuration.
 
-    Guest ``vmI`` is booted with a fifth of its memory holding history
-    (a freshly booted guest), given the Metis input and output files,
-    and starts ``I * stagger_seconds`` in.
+    Guest ``vmI`` is placed by the cluster's policy, booted with a
+    fifth of its memory holding history (a freshly booted guest),
+    given the Metis input and output files, and starts ``I *
+    stagger_seconds`` in.  Ballooned configurations get a balloon
+    manager on the first host.  Returns the finished cluster and the
+    drivers, in guest order.
     """
+    cluster = Cluster(config)
     drivers: list[VmDriver] = []
     for i in range(num_guests):
         vm = cluster.create_vm(VmConfig(
@@ -106,7 +96,6 @@ def deploy_fleet(cluster: Cluster, spec: ConfigSpec, *,
             guest=scaled_guest_config(guest_mib, scale),
             vswapper=spec.vswapper,
             image_size_pages=mib_pages(4096 / scale),
-            vcpus=2,
         ))
         vm.host.boot_guest(vm, fraction=0.2)
         vm.guest.fs.create_file("metis-input", mib_pages(300 / scale))
@@ -114,25 +103,6 @@ def deploy_fleet(cluster: Cluster, spec: ConfigSpec, *,
         drivers.append(VmDriver(
             vm, make_mapreduce(scale, seed=100 + i),
             start_delay=i * stagger_seconds / scale))
-    return drivers
-
-
-def run_phased(spec: ConfigSpec, *, num_guests: int, scale: int = 1,
-               stagger_seconds: float = 10.0,
-               host_mib: float = 8192,
-               guest_mib: float = 2048,
-               seed: int = 1) -> DynamicResult:
-    """Run ``num_guests`` phased MapReduce guests under one config."""
-    cluster = Cluster(MachineConfig(
-        seed=seed,
-        host=HostConfig(
-            total_memory_pages=mib_pages(host_mib / scale),
-            swap_size_pages=mib_pages(16 * 1024 / scale),
-        ),
-    ).as_cluster())
-    drivers = deploy_fleet(cluster, spec, num_guests=num_guests,
-                           scale=scale, stagger_seconds=stagger_seconds,
-                           guest_mib=guest_mib)
     if spec.ballooned:
         BalloonManager(cluster.hosts[0], ManagerConfig(
             poll_interval=5.0 / scale,
@@ -144,9 +114,7 @@ def run_phased(spec: ConfigSpec, *, num_guests: int, scale: int = 1,
         ))
     run_to_completion(cluster.engine, drivers,
                       slice_seconds=FLEET_SLICE_SECONDS)
-    runtimes = [d.runtime for d in drivers if not d.crashed]
-    crashes = sum(1 for d in drivers if d.crashed)
-    return DynamicResult(spec.name, runtimes, crashes)
+    return cluster, drivers
 
 
 def _dynamic_cells(config_names: Sequence[ConfigName],
@@ -191,26 +159,29 @@ def build_fig04_sweep(*, scale: int = 1, num_guests: int = 10) -> Sweep:
 def dynamic_cell(spec: CellSpec) -> RunResult:
     """Run one phased multi-guest cell and fold it into a RunResult."""
     config = standard_configs([ConfigName(spec.config)])[0]
-    outcome = run_phased(
+    params = spec.params
+    _, drivers = run_fleet(
+        ClusterConfig(
+            hosts=(HostNodeConfig(host=HostConfig(
+                total_memory_pages=mib_pages(params["host_mib"] / spec.scale),
+                swap_size_pages=mib_pages(16 * 1024 / spec.scale),
+            )),),
+            seed=spec.seed),
         config,
-        num_guests=spec.params["num_guests"],
+        num_guests=params["num_guests"],
         scale=spec.scale,
-        stagger_seconds=spec.params["stagger_seconds"],
-        host_mib=spec.params["host_mib"],
-        guest_mib=spec.params["guest_mib"],
-        seed=spec.seed,
+        stagger_seconds=params["stagger_seconds"],
+        guest_mib=params["guest_mib"],
     )
-    runtime = (sum(outcome.runtimes) / len(outcome.runtimes)
-               if outcome.runtimes else None)
-    phases = [PhaseMark("guest-runtime", {"runtime": r}, r)
-              for r in outcome.runtimes]
+    runtimes = [d.runtime for d in drivers if not d.crashed]
     return RunResult(
         config=config.name,
-        runtime=runtime,
+        runtime=sum(runtimes) / len(runtimes) if runtimes else None,
         crashed=False,
-        counters={"oom_kills": outcome.crashes,
-                  "guests_completed": len(outcome.runtimes)},
-        phases=phases,
+        counters={"oom_kills": len(drivers) - len(runtimes),
+                  "guests_completed": len(runtimes)},
+        phases=[PhaseMark("guest-runtime", {"runtime": r}, r)
+                for r in runtimes],
     )
 
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from typing import Mapping, Sequence
 
-from repro.config import MachineConfig
+from repro.config import ClusterConfig
 from repro.exec.spec import CellSpec, Sweep
 from repro.experiments.runner import (
     ConfigName,
@@ -69,9 +69,8 @@ def fig05_fig11_cell(spec: CellSpec) -> RunResult:
     scale = spec.scale
     actual_mib = spec.params["actual_mib"]
     experiment = SingleVmExperiment(
-        guest_mib=512 / scale,
         actual_mib=actual_mib / scale,
-        machine_config=MachineConfig(seed=spec.seed),
+        cluster_config=ClusterConfig(seed=spec.seed),
         guest_config=scaled_guest_config(512, scale),
         files=[
             ("pbzip-input", mib_pages(500 / scale)),

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from typing import Mapping, Sequence
 
-from repro.config import MachineConfig
+from repro.config import ClusterConfig
 from repro.exec.spec import CellSpec, Sweep, sweep_from_configs
 from repro.experiments.runner import (
     ConfigName,
@@ -70,9 +70,8 @@ def fig09_cell(spec: CellSpec) -> RunResult:
     """Run one (configuration, iterations) cell of Figure 9/Figure 3."""
     scale = spec.scale
     experiment = SingleVmExperiment(
-        guest_mib=512 / scale,
         actual_mib=100 / scale,
-        machine_config=MachineConfig(seed=spec.seed),
+        cluster_config=ClusterConfig(seed=spec.seed),
         guest_config=scaled_guest_config(512, scale),
         files=[("sysbench.dat", mib_pages(200 / scale))],
     )

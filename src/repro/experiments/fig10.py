@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Mapping
 
-from repro.config import MachineConfig
+from repro.config import ClusterConfig
 from repro.exec.spec import CellSpec, Sweep, sweep_from_configs
 from repro.experiments.runner import (
     ConfigName,
@@ -44,9 +44,8 @@ def fig10_cell(spec: CellSpec) -> RunResult:
     """Run the sysbench-then-alloc workload under one configuration."""
     scale = spec.scale
     experiment = SingleVmExperiment(
-        guest_mib=512 / scale,
         actual_mib=100 / scale,
-        machine_config=MachineConfig(seed=spec.seed),
+        cluster_config=ClusterConfig(seed=spec.seed),
         guest_config=scaled_guest_config(512, scale),
         files=[("sysbench.dat", mib_pages(200 / scale))],
     )

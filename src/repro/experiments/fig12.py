@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from typing import Mapping, Sequence
 
-from repro.config import MachineConfig
+from repro.config import ClusterConfig
 from repro.exec.spec import CellSpec, Sweep
 from repro.experiments.runner import (
     ConfigName,
@@ -75,9 +75,8 @@ def fig12_cell(spec: CellSpec) -> RunResult:
     actual_mib = spec.params["actual_mib"]
     workload_probe = make_kernbench(scale)
     experiment = SingleVmExperiment(
-        guest_mib=512 / scale,
         actual_mib=actual_mib / scale,
-        machine_config=MachineConfig(seed=spec.seed),
+        cluster_config=ClusterConfig(seed=spec.seed),
         guest_config=scaled_guest_config(512, scale),
         files=[
             ("kernel-src", workload_probe.source_pages),

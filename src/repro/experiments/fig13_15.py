@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from typing import Mapping, Sequence
 
-from repro.config import MachineConfig
+from repro.config import ClusterConfig
 from repro.exec.spec import CellSpec, Sweep
 from repro.experiments.runner import (
     ConfigName,
@@ -58,9 +58,8 @@ def make_eclipse(scale: int) -> EclipseWorkload:
 def _experiment(scale: int, actual_mib: float, seed: int = 1,
                 sample_interval: float | None = None) -> SingleVmExperiment:
     return SingleVmExperiment(
-        guest_mib=512 / scale,
         actual_mib=actual_mib / scale,
-        machine_config=MachineConfig(seed=seed),
+        cluster_config=ClusterConfig(seed=seed),
         guest_config=scaled_guest_config(512, scale),
         files=[("eclipse-workspace", mib_pages(160 / scale))],
         sample_interval=sample_interval,

@@ -24,7 +24,7 @@ from repro.experiments.runner import (
     scaled_guest_config,
     standard_configs,
 )
-from repro.config import MachineConfig, VmConfig
+from repro.config import ClusterConfig, VmConfig
 from repro.driver import VmDriver
 from repro.metrics.report import Table
 from repro.units import MIB, mib_pages
@@ -59,7 +59,7 @@ def migration_cell(spec: CellSpec) -> RunResult:
     """Run the source workload and snapshot the migration plan."""
     scale = spec.scale
     config = standard_configs([ConfigName(spec.config)])[0]
-    cluster = Cluster(MachineConfig(seed=spec.seed).as_cluster())
+    cluster = Cluster(ClusterConfig(seed=spec.seed))
     vm = cluster.create_vm(VmConfig(
         name="migrant",
         guest=scaled_guest_config(512, scale),

@@ -16,8 +16,8 @@ from typing import Callable, Sequence
 
 from repro.cluster import Cluster
 from repro.config import (
+    ClusterConfig,
     GuestConfig,
-    MachineConfig,
     VmConfig,
     VSwapperConfig,
 )
@@ -365,47 +365,42 @@ def run_to_completion(engine: Engine, drivers: Sequence[VmDriver], *,
 class SingleVmExperiment:
     """Controlled-memory-assignment harness (Section 5.1).
 
-    One guest that believes it has ``guest_mib`` of memory while the
-    host actually grants ``actual_mib``: balloon configurations inform
-    the guest by statically inflating ``guest - actual``; uncooperative
-    configurations enforce it with a resident limit.  Each run builds
-    a one-host :class:`~repro.cluster.Cluster` from ``machine_config``.
+    One guest that believes it has ``guest_config.memory_pages`` of
+    memory while the host actually grants ``actual_mib``: balloon
+    configurations inform the guest by statically inflating
+    ``guest - actual``; uncooperative configurations enforce it with a
+    resident limit.  Each run builds a one-host
+    :class:`~repro.cluster.Cluster` from ``cluster_config``.
     """
 
     def __init__(
         self,
         *,
-        guest_mib: float = 512,
+        guest_config: GuestConfig,
         actual_mib: float = 100,
-        machine_config: MachineConfig | None = None,
-        guest_config: GuestConfig | None = None,
+        cluster_config: ClusterConfig = ClusterConfig(),
         files: Sequence[tuple[str, int]] = (),
         sample_interval: float | None = None,
     ) -> None:
-        self.guest_pages = mib_pages(guest_mib)
+        self.guest_pages = guest_config.memory_pages
         self.actual_pages = mib_pages(actual_mib)
         if self.actual_pages > self.guest_pages:
             raise ExperimentError(
                 f"actual memory ({actual_mib} MiB) exceeds guest memory "
-                f"({guest_mib} MiB)")
-        self.machine_config = machine_config or MachineConfig()
-        self.guest_config = guest_config or GuestConfig(
-            memory_pages=self.guest_pages)
+                f"({self.guest_pages} pages)")
+        self.cluster_config = cluster_config
+        self.guest_config = guest_config
         self.files = list(files)
         self.sample_interval = sample_interval
 
     def run(self, spec: ConfigSpec, workload: Workload) -> RunResult:
         """Execute ``workload`` under configuration ``spec``."""
-        cluster = Cluster(self.machine_config.as_cluster())
-        guest_cfg = self.guest_config
-        if guest_cfg.memory_pages != self.guest_pages:
-            raise ExperimentError(
-                "guest_config.memory_pages disagrees with guest_mib")
+        cluster = Cluster(self.cluster_config)
         balloon = (self.guest_pages - self.actual_pages
                    if spec.ballooned else 0)
         vm_config = VmConfig(
             name="vm0",
-            guest=guest_cfg,
+            guest=self.guest_config,
             vswapper=spec.vswapper,
             resident_limit_pages=self.actual_pages,
         )

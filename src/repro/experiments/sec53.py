@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from typing import Mapping
 
-from repro.config import MachineConfig
+from repro.config import ClusterConfig
 from repro.exec.spec import CellSpec, Sweep
 from repro.experiments.runner import (
     ConfigName,
@@ -55,9 +55,8 @@ def sec53_cell(spec: CellSpec) -> RunResult:
     """Run pbzip2 under one (pressure, configuration) cell."""
     scale = spec.scale
     experiment = SingleVmExperiment(
-        guest_mib=512 / scale,
         actual_mib=spec.params["actual_mib"] / scale,
-        machine_config=MachineConfig(seed=spec.seed),
+        cluster_config=ClusterConfig(seed=spec.seed),
         guest_config=scaled_guest_config(512, scale),
         files=[
             ("pbzip-input", mib_pages(800 / scale)),

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from typing import Mapping
 
-from repro.config import GuestConfig, GuestOsKind, MachineConfig
+from repro.config import ClusterConfig, GuestConfig, GuestOsKind
 from repro.exec.spec import CellSpec, Sweep
 from repro.experiments.runner import (
     ConfigName,
@@ -71,9 +71,8 @@ def sec54_cell(spec: CellSpec) -> RunResult:
     if spec.params["workload"] == "sysbench":
         # Experiment 1: Sysbench, 2GB file, 2GB guest, 1GB grant.
         experiment = SingleVmExperiment(
-            guest_mib=2048 / scale,
             actual_mib=1024 / scale,
-            machine_config=MachineConfig(seed=spec.seed),
+            cluster_config=ClusterConfig(seed=spec.seed),
             guest_config=windows_guest_config(2048, scale),
             files=[("sysbench.dat", mib_pages(2048 / scale))],
         )
@@ -82,9 +81,8 @@ def sec54_cell(spec: CellSpec) -> RunResult:
     else:
         # Experiment 2: bzip2 in the same guest at 512MB.
         experiment = SingleVmExperiment(
-            guest_mib=2048 / scale,
             actual_mib=512 / scale,
-            machine_config=MachineConfig(seed=spec.seed),
+            cluster_config=ClusterConfig(seed=spec.seed),
             guest_config=windows_guest_config(2048, scale),
             files=[
                 ("pbzip-input", mib_pages(500 / scale)),

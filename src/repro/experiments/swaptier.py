@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from typing import Mapping, Sequence
 
-from repro.config import MachineConfig
+from repro.config import ClusterConfig
 from repro.exec.spec import CellSpec, Sweep
 from repro.experiments.runner import (
     ConfigName,
@@ -82,9 +82,8 @@ def swaptier_cell(spec: CellSpec) -> RunResult:
     """
     scale = spec.scale
     experiment = SingleVmExperiment(
-        guest_mib=512 / scale,
         actual_mib=100 / scale,
-        machine_config=MachineConfig(seed=spec.seed),
+        cluster_config=ClusterConfig(seed=spec.seed),
         guest_config=scaled_guest_config(512, scale),
         files=[("sysbench.dat", mib_pages(200 / scale))],
     )

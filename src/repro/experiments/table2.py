@@ -15,14 +15,13 @@ unaware while the host enforces the same grant uncooperatively.
 
 from __future__ import annotations
 
-import dataclasses
 from typing import Mapping
 
 from repro.config import (
-    DiskConfig,
+    ClusterConfig,
     HostConfig,
+    HostNodeConfig,
     HypervisorKind,
-    MachineConfig,
 )
 from repro.exec.spec import CellSpec, Sweep
 from repro.experiments.runner import (
@@ -44,16 +43,13 @@ TABLE2_CASES = (
 )
 
 
-def vmware_machine_config(scale: int) -> MachineConfig:
+def vmware_host_config(scale: int) -> HostConfig:
     """The Table 2 host: a VMware-Workstation-like profile."""
-    return MachineConfig(
-        host=HostConfig(
-            total_memory_pages=mib_pages(512 / scale),
-            swap_size_pages=mib_pages(4096 / scale),
-            async_page_faults=False,
-            kind=HypervisorKind.VMWARE,
-        ),
-        disk=DiskConfig(),
+    return HostConfig(
+        total_memory_pages=mib_pages(512 / scale),
+        swap_size_pages=mib_pages(4096 / scale),
+        async_page_faults=False,
+        kind=HypervisorKind.VMWARE,
     )
 
 
@@ -75,10 +71,10 @@ def table2_cell(spec: CellSpec) -> RunResult:
     """Run the 1 GB sequential read on the VMware-like profile."""
     scale = spec.scale
     experiment = SingleVmExperiment(
-        guest_mib=440 / scale,
         actual_mib=360 / scale,
-        machine_config=dataclasses.replace(
-            vmware_machine_config(scale), seed=spec.seed),
+        cluster_config=ClusterConfig(
+            hosts=(HostNodeConfig(host=vmware_host_config(scale)),),
+            seed=spec.seed),
         guest_config=scaled_guest_config(440, scale),
         files=[("sysbench.dat", mib_pages(1024 / scale))],
     )

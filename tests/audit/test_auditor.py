@@ -17,12 +17,12 @@ from repro.context import RunContext, run_context
 from repro.driver import VmDriver
 from repro.errors import InvariantViolation, SimulationError
 from repro.workloads.sysbench import SysbenchFileRead
-from tests.conftest import small_machine_config, small_vm_config
+from tests.conftest import small_cluster_config, small_vm_config
 
 
 def _paranoid_cluster() -> Cluster:
     with run_context(RunContext(paranoid=True)):
-        return Cluster(small_machine_config().as_cluster())
+        return Cluster(small_cluster_config())
 
 
 def _pressure_run(cluster: Cluster, *, vswapper=None) -> "object":

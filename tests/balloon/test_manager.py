@@ -6,7 +6,7 @@ from repro.cluster import Cluster
 from repro.driver import VmDriver
 from repro.sim.ops import Alloc, Compute, Touch
 from repro.workloads.base import Workload
-from tests.conftest import small_machine_config, small_vm_config
+from tests.conftest import small_cluster_config, small_vm_config
 
 
 class IdleWorkload(Workload):
@@ -43,7 +43,7 @@ class HungryWorkload(Workload):
 
 
 def test_manager_ticks_and_records_history():
-    cluster = Cluster(small_machine_config().as_cluster())
+    cluster = Cluster(small_cluster_config())
     host = cluster.hosts[0]
     vm = cluster.create_vm(small_vm_config())
     VmDriver(vm, IdleWorkload(steps=5))
@@ -60,7 +60,7 @@ def test_manager_inflates_idle_guests_under_pressure():
     # growth creates host evictions, and the manager should balloon
     # the idle one.
     cluster = Cluster(
-        small_machine_config(total_memory_pages=6000).as_cluster())
+        small_cluster_config(total_memory_pages=6000))
     host = cluster.hosts[0]
     idle = cluster.create_vm(small_vm_config(name="idle"))
     hungry = cluster.create_vm(small_vm_config(name="hungry"))
@@ -81,7 +81,7 @@ def test_manager_inflates_idle_guests_under_pressure():
 
 
 def test_manager_skips_oom_killed_guests():
-    cluster = Cluster(small_machine_config().as_cluster())
+    cluster = Cluster(small_cluster_config())
     host = cluster.hosts[0]
     vm = cluster.create_vm(small_vm_config())
     vm.guest.oom_killed = True

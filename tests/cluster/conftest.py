@@ -12,7 +12,7 @@ def small_node(name: str = "node0", *,
                pressure_threshold: float = 0.9,
                **host_overrides) -> HostNodeConfig:
     """One cluster node sized for fast tests (matches
-    :func:`tests.conftest.small_machine_config`)."""
+    :func:`tests.conftest.small_cluster_config`)."""
     host_defaults = dict(
         total_memory_pages=mib_pages(256),
         swap_size_pages=mib_pages(512),

@@ -4,11 +4,11 @@ cluster."""
 import pytest
 
 from repro.cluster import Cluster, choose_host
-from repro.config import ClusterConfig, MachineConfig
+from repro.config import ClusterConfig
 from repro.errors import ConfigError, HostError, PlacementError
 from tests.cluster.conftest import fill_to_limit, small_node
 from tests.conftest import (
-    small_machine_config,
+    small_cluster_config,
     small_vm_config,
 )
 
@@ -111,7 +111,7 @@ def test_committed_pages_follow_vm_lifecycle():
 
 
 def test_unlimited_ratio_admits_past_physical_memory():
-    # None = what MachineConfig.as_cluster builds: admission never
+    # None = the default one-host cluster's setting: admission never
     # blocks.
     node = small_node(total_memory_pages=8192)  # 32 MiB physical
     cluster = Cluster(ClusterConfig(hosts=(node,)))
@@ -125,7 +125,7 @@ def test_unlimited_ratio_admits_past_physical_memory():
 # ----------------------------------------------------------------------
 
 def test_machine_config_builds_a_cluster_of_one():
-    cluster = Cluster(small_machine_config().as_cluster())
+    cluster = Cluster(small_cluster_config())
     (host,) = cluster.hosts
     # The one host draws from the root RNG itself: no per-host fork.
     assert host.rng is cluster.rng
@@ -138,9 +138,9 @@ def test_machine_config_builds_a_cluster_of_one():
 def test_policy_placement_bit_identical_to_explicit_host():
     """Placing through the policy and naming the one host explicitly
     build the same VM and drive the same eviction choices."""
-    config = small_machine_config()
-    placed = Cluster(config.as_cluster())
-    pinned = Cluster(config.as_cluster())
+    config = small_cluster_config()
+    placed = Cluster(config)
+    pinned = Cluster(config)
 
     vm_a = placed.create_vm(small_vm_config(resident_limit_mib=4))
     vm_b = pinned.create_vm(small_vm_config(resident_limit_mib=4),
@@ -159,8 +159,8 @@ def test_one_host_code_capacity_is_a_placement_error():
     """Placement filters on host-root code capacity: a one-host cluster
     out of room raises PlacementError, which a cell reports as a crash
     (it is a HostError), rather than the host's own ConfigError."""
-    cluster = Cluster(small_machine_config(
-        hypervisor_code_pages=32768).as_cluster())
+    cluster = Cluster(small_cluster_config(
+        hypervisor_code_pages=32768))
     cluster.create_vm(small_vm_config(name="vm0"))
     cluster.create_vm(small_vm_config(name="vm1"))
     with pytest.raises(PlacementError, match="no host admits VM 'vm2'"):

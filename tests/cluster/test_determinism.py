@@ -5,14 +5,20 @@ per-VM counters -- rebuilt from scratch, and serial == parallel when
 the cells run through the sweep executor.
 """
 
+import dataclasses
+
 from repro.cluster import Cluster
 from repro.config import ClusterConfig, ClusterMigrationConfig
 from repro.exec.executor import ParallelExecutor, SerialExecutor, run_sweep
 from repro.experiments.cluster import (
+    GUEST_MIB,
+    STAGGER_SECONDS,
     build_cluster_exp_sweep,
-    run_cluster_fleet,
+    fleet_config,
 )
+from repro.experiments.dynamic import run_fleet
 from repro.experiments.runner import ConfigName, standard_configs
+from repro.units import mib_pages
 from tests.cluster.conftest import fill_to_limit, small_node
 from tests.conftest import small_vm_config
 
@@ -94,13 +100,23 @@ def test_engine_driven_fleet_reruns_identically():
     """The full harness (engine clock, staggered drivers, periodic
     pressure controller) reproduces its own migration log and runtimes."""
     spec = standard_configs([ConfigName.BASELINE])[0]
+    # Roomier budgets and an earlier threshold than the experiment's,
+    # so this small fleet migrates.
+    base = fleet_config(num_hosts=4, policy="first-fit", scale=32,
+                        seed=1, migration=True)
+    config = dataclasses.replace(base, hosts=tuple(
+        dataclasses.replace(node, swap_budget_pages=mib_pages(2048 / 32),
+                            pressure_threshold=0.3)
+        for node in base.hosts))
 
     def run():
-        out = run_cluster_fleet(
-            spec, num_guests=8, scale=32,
-            swap_budget_mib=2048, pressure_threshold=0.3)
-        return (out.placements, [r.to_dict() for r in out.migrations],
-                out.runtimes, out.crashes)
+        cluster, drivers = run_fleet(
+            config, spec, num_guests=8, scale=32,
+            stagger_seconds=STAGGER_SECONDS, guest_mib=GUEST_MIB)
+        return (cluster.placements,
+                [r.to_dict() for r in cluster.migrations],
+                [d.runtime for d in drivers if not d.crashed],
+                sum(d.crashed for d in drivers))
 
     first, second = run(), run()
     assert first == second

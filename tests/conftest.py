@@ -6,17 +6,20 @@ import pytest
 
 from repro.cluster import Cluster, Host
 from repro.config import (
+    ClusterConfig,
+    FaultConfig,
     GuestConfig,
     HostConfig,
-    MachineConfig,
+    HostNodeConfig,
     VmConfig,
     VSwapperConfig,
 )
 from repro.units import mib_pages
 
 
-def small_machine_config(**host_overrides) -> MachineConfig:
-    """A one-host config sized for fast tests."""
+def small_cluster_config(*, seed: int = 1, faults: FaultConfig | None = None,
+                         **host_overrides) -> ClusterConfig:
+    """A one-host cluster config sized for fast tests."""
     host_defaults = dict(
         total_memory_pages=mib_pages(256),
         swap_size_pages=mib_pages(512),
@@ -26,7 +29,9 @@ def small_machine_config(**host_overrides) -> MachineConfig:
         reclaim_noise=0.0,   # determinism unless a test wants noise
     )
     host_defaults.update(host_overrides)
-    return MachineConfig(host=HostConfig(**host_defaults))
+    return ClusterConfig(
+        hosts=(HostNodeConfig(host=HostConfig(**host_defaults)),),
+        seed=seed, faults=faults)
 
 
 def small_guest_config(**overrides) -> GuestConfig:
@@ -60,7 +65,7 @@ def small_vm_config(*, vswapper: VSwapperConfig | None = None,
 @pytest.fixture
 def cluster() -> Cluster:
     """A small, deterministic one-host cluster."""
-    return Cluster(small_machine_config().as_cluster())
+    return Cluster(small_cluster_config())
 
 
 @pytest.fixture

@@ -27,7 +27,6 @@ from pathlib import Path
 
 import pytest
 
-import repro.experiments.cluster as cluster_module
 import repro.experiments.dynamic as dynamic_module
 from repro.exec.store import cell_key
 from repro.experiments.cluster import build_cluster_exp_sweep, \
@@ -42,7 +41,7 @@ def _capture_cell(spec, monkeypatch):
     """Run one fleet cell while capturing its Cluster and drivers."""
     clusters: list = []
     drivers: list = []
-    original_cluster = cluster_module.Cluster
+    original_cluster = dynamic_module.Cluster
     original_driver = dynamic_module.VmDriver
 
     def capturing_cluster(config):
@@ -55,7 +54,7 @@ def _capture_cell(spec, monkeypatch):
         drivers.append(driver)
         return driver
 
-    monkeypatch.setattr(cluster_module, "Cluster", capturing_cluster)
+    monkeypatch.setattr(dynamic_module, "Cluster", capturing_cluster)
     monkeypatch.setattr(dynamic_module, "VmDriver", capturing_driver)
     result = cluster_fleet_cell(spec)
     assert len(clusters) == 1, "the fleet cell built more than one cluster"

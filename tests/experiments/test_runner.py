@@ -4,6 +4,7 @@ import pytest
 
 import repro.experiments.dynamic as dynamic_module
 import repro.experiments.runner as runner_module
+from repro.config import ClusterConfig, FaultConfig, GuestConfig
 from repro.driver import VmDriver
 from repro.errors import ExperimentError
 from repro.experiments.runner import (
@@ -72,12 +73,14 @@ def test_run_result_unbalanced_marks_rejected():
 
 def test_experiment_rejects_actual_above_guest():
     with pytest.raises(ExperimentError):
-        SingleVmExperiment(guest_mib=100, actual_mib=200)
+        SingleVmExperiment(
+            guest_config=GuestConfig(memory_pages=mib_pages(100)),
+            actual_mib=200)
 
 
 def test_experiment_runs_all_configs_small():
     experiment = SingleVmExperiment(
-        guest_mib=16, actual_mib=4,
+        actual_mib=4,
         guest_config=scaled_guest_config(512, 32),
         files=[("sysbench.dat", mib_pages(6))],
     )
@@ -105,12 +108,10 @@ def test_run_result_status_vocabulary():
 def test_fault_induced_crash_becomes_a_cell_not_an_abort():
     """A configuration killed by injected faults reports as crashed;
     the sweep (and its counters) survive."""
-    from repro.config import FaultConfig, MachineConfig
-
     experiment = SingleVmExperiment(
-        guest_mib=16, actual_mib=4,
+        actual_mib=4,
         guest_config=scaled_guest_config(512, 32),
-        machine_config=MachineConfig(faults=FaultConfig(
+        cluster_config=ClusterConfig(faults=FaultConfig(
             enabled=True, swap_slot_corruption_rate=1.0)),
         files=[("sysbench.dat", mib_pages(6))],
     )
@@ -125,7 +126,7 @@ def test_fault_induced_crash_becomes_a_cell_not_an_abort():
 
 def test_timeline_sampling():
     experiment = SingleVmExperiment(
-        guest_mib=16, actual_mib=8,
+        actual_mib=8,
         guest_config=scaled_guest_config(512, 32),
         files=[("sysbench.dat", mib_pages(6))],
         sample_interval=0.05,
@@ -152,7 +153,7 @@ class _StalledDriver(VmDriver):
 
 def _single_vm_run() -> None:
     experiment = SingleVmExperiment(
-        guest_mib=16, actual_mib=8,
+        actual_mib=8,
         guest_config=scaled_guest_config(512, 32))
     experiment.run(standard_configs([ConfigName.BASELINE])[0],
                    SysbenchFileRead(file_pages=mib_pages(1), iterations=1,
@@ -160,8 +161,9 @@ def _single_vm_run() -> None:
 
 
 def _fleet_run() -> None:
-    dynamic_module.run_phased(standard_configs([ConfigName.BASELINE])[0],
-                              num_guests=2, scale=64)
+    sweep = dynamic_module.build_fig14_sweep(
+        scale=64, guest_counts=(2,), config_names=(ConfigName.BASELINE,))
+    dynamic_module.dynamic_cell(sweep.cells[0])
 
 
 @pytest.mark.parametrize("module, run", [

@@ -3,18 +3,16 @@
 import pytest
 
 from repro.cluster import Cluster
-from repro.config import FaultConfig, MachineConfig, VSwapperConfig
+from repro.config import FaultConfig, VSwapperConfig
 from repro.errors import HostError
 from repro.guest.kernel import Transfer
 from repro.mem.page import AnonContent
-from tests.conftest import small_machine_config, small_vm_config
+from tests.conftest import small_cluster_config, small_vm_config
 
 
 def fault_cluster(fault_config, *, seed=1, **host_overrides):
-    base = small_machine_config(**host_overrides)
-    return Cluster(MachineConfig(
-        host=base.host, disk=base.disk, seed=seed,
-        faults=fault_config).as_cluster())
+    return Cluster(small_cluster_config(
+        seed=seed, faults=fault_config, **host_overrides))
 
 
 def thrash(vm, pages=1200, rounds=2):

@@ -17,7 +17,7 @@ from repro.sim.ops import (
 )
 from tests.conftest import (
     small_guest_config,
-    small_machine_config,
+    small_cluster_config,
     small_vm_config,
 )
 
@@ -255,7 +255,7 @@ def test_inflate_oom_mid_run_keeps_taken_pages_pinned():
     from tests.host.overwrite_oracle import alloc_gpa
 
     def build():
-        cluster = Cluster(small_machine_config().as_cluster())
+        cluster = Cluster(small_cluster_config())
         host = cluster.hosts[0]
         vm = cluster.create_vm(small_vm_config(guest=small_guest_config(
             allocator_window=8, guest_swap_pages=16)))

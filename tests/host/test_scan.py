@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from repro.cluster import Cluster
 from repro.mem.lru import ClockList
 from repro.sim.rng import DeterministicRng
-from tests.conftest import small_machine_config, small_vm_config
+from tests.conftest import small_cluster_config, small_vm_config
 from tests.host.scan_oracle import layered_probe
 
 #: Guest GPAs drawn past the end of the small VM's EPT (4096 pages),
@@ -20,7 +20,7 @@ GPA_STATES = ("absent", "stale", "clear", "accessed")
 
 
 def _fresh_vm():
-    cluster = Cluster(small_machine_config().as_cluster())
+    cluster = Cluster(small_cluster_config())
     return cluster.create_vm(small_vm_config())
 
 

@@ -192,3 +192,33 @@ def test_loc_fails_on_a_directory_without_python(tmp_path):
     with pytest.raises(ci_check.CheckFailed, match=r"no \*\.py files"):
         ci_check.count_lines(tmp_path)
     assert ci_check.main(["loc", str(tmp_path)]) == 1
+
+
+def test_loc_counts_dataclass_fields_of_config(tmp_path, capsys):
+    (tmp_path / "config.py").write_text(
+        "import dataclasses\n"
+        "from dataclasses import dataclass, field\n"
+        "from typing import ClassVar\n\n"
+        "@dataclass(frozen=True)\n"
+        "class A:\n"
+        "    x: int = 1\n"
+        "    y: list = field(default_factory=list)\n"
+        "    KINDS: ClassVar[tuple] = ()\n"
+        "    plain = 3\n\n"
+        "    def method(self) -> None:\n"
+        "        local: int = 0\n\n"
+        "@dataclasses.dataclass\n"
+        "class B:\n"
+        "    z: str\n\n"
+        "class NotADataclass:\n"
+        "    w: int = 0\n")
+    assert ci_check.count_config_fields(
+        (tmp_path / "config.py").read_text()) == 3
+    assert ci_check.main(["loc", str(tmp_path)]) == 0
+    assert json.loads(capsys.readouterr().out) == {
+        "files": 1, "lines": 20, "config_fields": 3}
+
+
+def test_loc_reports_the_repository_config_fields():
+    counts = ci_check.count_lines(_PATH.parents[1] / "src" / "repro")
+    assert counts["config_fields"] > 0

@@ -5,8 +5,8 @@ import pytest
 from repro.config import (
     DiskConfig,
     GuestConfig,
+    ClusterConfig,
     HostConfig,
-    MachineConfig,
     VmConfig,
     VSwapperConfig,
     scaled_pages,
@@ -16,7 +16,7 @@ from repro.units import mib_pages
 
 
 def test_default_machine_config_validates():
-    MachineConfig().as_cluster().validate()
+    ClusterConfig().validate()
 
 
 def test_disk_kind_checked():

@@ -24,7 +24,7 @@ from repro.faults.plan import default_fault_config
 from repro.profiling import profiling_dir
 from repro.swapback.base import default_swap_backend
 from repro.trace import tracing_mode
-from tests.conftest import small_machine_config
+from tests.conftest import small_cluster_config
 
 PROBE = "context-probe"
 
@@ -32,7 +32,7 @@ PROBE = "context-probe"
 def _probe_cell(spec: CellSpec) -> RunResult:
     """Report whether a host built in this process installs an
     auditor, i.e. whether the worker saw ``paranoid``."""
-    host = Cluster(small_machine_config().as_cluster()).hosts[0]
+    host = Cluster(small_cluster_config()).hosts[0]
     audited = host.auditor is not None
     return RunResult(config=ConfigName.BASELINE, runtime=0.0,
                      crashed=False, counters={"audited": int(audited)})

@@ -9,7 +9,7 @@ from repro.sim.ops import Alloc, Compute, MarkPhase, Touch
 from repro.workloads.base import Workload
 from tests.conftest import (
     small_guest_config,
-    small_machine_config,
+    small_cluster_config,
     small_vm_config,
 )
 
@@ -114,7 +114,7 @@ def test_linux_multithreaded_gets_overlap(vm):
 
 
 def test_multiple_drivers_interleave():
-    cluster = Cluster(small_machine_config().as_cluster())
+    cluster = Cluster(small_cluster_config())
     a = cluster.create_vm(small_vm_config(name="a"))
     b = cluster.create_vm(small_vm_config(name="b"))
     da = VmDriver(a, ScriptedWorkload([Compute(1.0)] * 3))

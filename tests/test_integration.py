@@ -8,14 +8,14 @@ determinism, and the headline behavioural claims of the paper.
 import pytest
 
 from repro.cluster import Cluster
-from repro.config import MachineConfig, VSwapperConfig
+from repro.config import VSwapperConfig
 from repro.driver import VmDriver
 from repro.units import mib_pages
 from repro.workloads.alloctouch import SysbenchThenAlloc
 from repro.workloads.sysbench import SysbenchFileRead
 from tests.conftest import (
     small_guest_config,
-    small_machine_config,
+    small_cluster_config,
     small_vm_config,
 )
 
@@ -72,7 +72,7 @@ def test_mapper_tracked_pages_match_image_content(cluster, vswapper_vm):
 def test_same_seed_is_bit_identical():
     def one_run():
         cluster = Cluster(
-            small_machine_config(reclaim_noise=0.06).as_cluster())
+            small_cluster_config(reclaim_noise=0.06))
         vm = cluster.create_vm(small_vm_config(resident_limit_mib=4))
         vm.host.boot_guest(vm)
         driver = run_sysbench(cluster, vm)
@@ -85,9 +85,7 @@ def test_same_seed_is_bit_identical():
 
 def test_different_seed_differs():
     def one_run(seed):
-        config = small_machine_config(reclaim_noise=0.2)
-        cluster = Cluster(MachineConfig(
-            host=config.host, disk=config.disk, seed=seed).as_cluster())
+        cluster = Cluster(small_cluster_config(reclaim_noise=0.2, seed=seed))
         vm = cluster.create_vm(small_vm_config(resident_limit_mib=4))
         vm.host.boot_guest(vm)
         return run_sysbench(cluster, vm).runtime
@@ -98,7 +96,7 @@ def test_different_seed_differs():
 def test_vswapper_beats_baseline_under_pressure():
     def runtime_for(vswapper):
         cluster = Cluster(
-            small_machine_config(reclaim_noise=0.06).as_cluster())
+            small_cluster_config(reclaim_noise=0.06))
         vm = cluster.create_vm(small_vm_config(
             vswapper=vswapper, resident_limit_mib=4))
         vm.host.boot_guest(vm)
@@ -111,12 +109,12 @@ def test_vswapper_beats_baseline_under_pressure():
 
 
 def test_vswapper_eliminates_swap_writes_for_clean_pages():
-    cluster = Cluster(small_machine_config().as_cluster())
+    cluster = Cluster(small_cluster_config())
     vm = cluster.create_vm(small_vm_config(
         vswapper=VSwapperConfig.full(), resident_limit_mib=4))
     # No boot: a clean cache workload only.
     run_sysbench(cluster, vm, file_pages=2048)
-    baseline_cluster = Cluster(small_machine_config().as_cluster())
+    baseline_cluster = Cluster(small_cluster_config())
     baseline_vm = baseline_cluster.create_vm(
         small_vm_config(resident_limit_mib=4))
     run_sysbench(baseline_cluster, baseline_vm, file_pages=2048)
@@ -126,7 +124,7 @@ def test_vswapper_eliminates_swap_writes_for_clean_pages():
 
 def test_preventer_eliminates_false_read_disk_traffic():
     def run_alloc(vswapper):
-        cluster = Cluster(small_machine_config().as_cluster())
+        cluster = Cluster(small_cluster_config())
         vm = cluster.create_vm(small_vm_config(
             vswapper=vswapper, resident_limit_mib=4))
         vm.host.boot_guest(vm)

@@ -4,14 +4,14 @@ import pytest
 
 from repro.cluster import Cluster
 from repro.cluster.host import Host, build_latency_model
-from repro.config import DiskConfig, MachineConfig
+from repro.config import ClusterConfig, DiskConfig
 from repro.disk.latency import HddLatencyModel, SsdLatencyModel
 from repro.errors import ConfigError
-from tests.conftest import small_machine_config, small_vm_config
+from tests.conftest import small_cluster_config, small_vm_config
 
 
 def test_default_machine_builds():
-    cluster = Cluster(MachineConfig().as_cluster())
+    cluster = Cluster(ClusterConfig())
     host = cluster.hosts[0]
     assert cluster.now == 0.0
     assert host.frames.free > 0
@@ -40,12 +40,11 @@ def test_latency_model_selection():
         build_latency_model(DiskConfig(kind="tape"))
 
 
-def test_static_balloon_applied_at_creation(cluster):
-    config = small_vm_config()
-    config = type(config)(**{**config.__dict__,
-                             "static_balloon_pages": 256})
-    vm = cluster.create_vm(config)
+def test_static_balloon_applied_at_creation(cluster, host):
+    vm = cluster.create_vm(small_vm_config())
+    host.apply_static_balloon(vm, 256)
     assert vm.guest.balloon_size == 256
+    assert vm.costs.total() == 0.0
 
 
 def test_boot_guest_resets_measurement_state(cluster, host):
@@ -82,9 +81,9 @@ def test_run_until(cluster):
 
 
 def test_host_root_region_bounds_vm_count():
-    config = small_machine_config(
+    config = small_cluster_config(
         hypervisor_code_pages=Host.HOST_ROOT_PAGES // 2 + 1)
-    cluster = Cluster(config.as_cluster())
+    cluster = Cluster(config)
     host = cluster.hosts[0]
     cluster.create_vm(small_vm_config(name="first"), host=host)
     # An explicit host skips placement's admission filter, so the host

@@ -10,7 +10,7 @@ from repro.guest.kernel import Transfer
 from repro.mem.page import ZERO
 from repro.sim.engine import Engine
 from repro.sim.ops import WritePattern
-from tests.conftest import small_machine_config, small_vm_config
+from tests.conftest import small_cluster_config, small_vm_config
 
 
 @settings(max_examples=30, deadline=None)
@@ -58,7 +58,7 @@ def test_engine_never_goes_backwards(delays):
 def test_hypervisor_access_sequences_conserve_frames(ops):
     """Arbitrary touch/overwrite sequences under pressure keep the
     frame pool consistent with per-VM residency."""
-    cluster = Cluster(small_machine_config().as_cluster())
+    cluster = Cluster(small_cluster_config())
     host = cluster.hosts[0]
     vm = cluster.create_vm(small_vm_config(resident_limit_mib=1))
     hyp = host.hypervisor
@@ -85,7 +85,7 @@ def test_mapper_consistency_under_random_io(blocks, use_mapper):
     """Random reads/writes over a small block space never violate the
     tracked-page == image-block invariant (the hypervisor self-checks
     on every refault and raises ConsistencyError if broken)."""
-    cluster = Cluster(small_machine_config().as_cluster())
+    cluster = Cluster(small_cluster_config())
     host = cluster.hosts[0]
     vswapper = (VSwapperConfig.mapper_only() if use_mapper
                 else VSwapperConfig.off())
@@ -113,11 +113,10 @@ def test_mapper_consistency_under_random_io(blocks, use_mapper):
 def test_fault_injection_preserves_determinism(seed):
     """Same seed + same FaultPlan => bit-identical counters across two
     runs: injection is part of the deterministic schedule, not noise."""
-    from repro.config import FaultConfig, MachineConfig
+    from repro.config import FaultConfig
     from repro.errors import ReproError
 
     def fingerprint():
-        base = small_machine_config(swap_writeback_batch_pages=16)
         faults = FaultConfig(
             enabled=True,
             disk_transient_error_rate=0.01,
@@ -128,9 +127,8 @@ def test_fault_injection_preserves_determinism(seed):
             mapper_invalidation_rate=0.05,
             mapper_breaker_threshold=3,
         )
-        cluster = Cluster(MachineConfig(
-            host=base.host, disk=base.disk, seed=seed,
-            faults=faults).as_cluster())
+        cluster = Cluster(small_cluster_config(
+            swap_writeback_batch_pages=16, seed=seed, faults=faults))
         host = cluster.hosts[0]
         vm = cluster.create_vm(small_vm_config(
             vswapper=VSwapperConfig.mapper_only(), resident_limit_mib=1))
@@ -156,12 +154,8 @@ def test_fault_injection_preserves_determinism(seed):
 @given(st.integers(min_value=0, max_value=2**31 - 1))
 def test_full_stack_determinism_per_seed(seed):
     """Two identical machines given the same seed behave identically."""
-    from repro.config import MachineConfig
-
     def fingerprint():
-        base = small_machine_config(reclaim_noise=0.1)
-        cluster = Cluster(MachineConfig(
-            host=base.host, disk=base.disk, seed=seed).as_cluster())
+        cluster = Cluster(small_cluster_config(reclaim_noise=0.1, seed=seed))
         host = cluster.hosts[0]
         vm = cluster.create_vm(small_vm_config(resident_limit_mib=2))
         hyp = host.hypervisor

@@ -37,9 +37,12 @@ cell run and ``failed == 0``.  A cell that raised, a simulated counter
 that broke a workload check, or a renamed span boundary (which crashes
 every traced run) all fail it.
 
-``loc`` reports the size metric the ROADMAP tracks: the number of
+``loc`` reports the size metrics the ROADMAP tracks: the number of
 ``*.py`` files under DIR and their total line count, printed as one
-JSON object ``{"files": N, "lines": M}``.  It gates on nothing.
+JSON object ``{"files": N, "lines": M, "config_fields": F}``.  ``F``
+counts the fields of the ``@dataclass`` classes in ``DIR/config.py``,
+read from its syntax tree without importing it; the key is absent when
+there is no such file.  It gates on nothing.
 
 Exits 0 with a one-line summary, or 1 with the first failed check.
 """
@@ -47,6 +50,7 @@ Exits 0 with a one-line summary, or 1 with the first failed check.
 from __future__ import annotations
 
 import argparse
+import ast
 import json
 import re
 import sys
@@ -172,13 +176,47 @@ def check_bench(log: str) -> str:
     return f"bench OK: {attempted} runs, all correct"
 
 
+def _is_dataclass_decorator(node: ast.expr) -> bool:
+    if isinstance(node, ast.Call):
+        node = node.func
+    if isinstance(node, ast.Attribute):
+        return node.attr == "dataclass"
+    return isinstance(node, ast.Name) and node.id == "dataclass"
+
+
+def _is_classvar(annotation: ast.expr) -> bool:
+    if isinstance(annotation, ast.Subscript):
+        annotation = annotation.value
+    if isinstance(annotation, ast.Attribute):
+        return annotation.attr == "ClassVar"
+    return isinstance(annotation, ast.Name) and annotation.id == "ClassVar"
+
+
+def count_config_fields(source: str) -> int:
+    """Fields of the ``@dataclass`` classes defined in ``source``."""
+    return sum(
+        1
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ClassDef)
+        and any(map(_is_dataclass_decorator, node.decorator_list))
+        for statement in node.body
+        if isinstance(statement, ast.AnnAssign)
+        and isinstance(statement.target, ast.Name)
+        and not _is_classvar(statement.annotation))
+
+
 def count_lines(directory: Path) -> dict[str, int]:
-    """``*.py`` files under ``directory`` and their total lines."""
+    """``*.py`` files under ``directory``, their total lines, and the
+    dataclass fields of ``directory/config.py`` when it exists."""
     paths = sorted(directory.rglob("*.py"))
     if not paths:
         raise CheckFailed(f"no *.py files under {directory}")
     lines = sum(len(path.read_bytes().splitlines()) for path in paths)
-    return {"files": len(paths), "lines": lines}
+    counts = {"files": len(paths), "lines": lines}
+    config = directory / "config.py"
+    if config.is_file():
+        counts["config_fields"] = count_config_fields(config.read_text())
+    return counts
 
 
 def main(argv: list[str] | None = None) -> int:
