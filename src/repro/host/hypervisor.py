@@ -635,10 +635,16 @@ class Hypervisor:
         window = readahead if readahead is not None \
             else self.cfg.image_readahead_pages
         targets: list[tuple[int, int]] = [(block, gpa)]
+        preventer = vm.preventer
+        emulated = preventer._emulated if preventer is not None else None
         for b in range(block + 1, min(block + window, vm.image.size_blocks)):
             g2 = mapper.discarded_gpa_for_block(b)
             if g2 is None:
                 break  # keep the read contiguous
+            if emulated and g2 in emulated:
+                # A buffered overwrite already replaced this page's
+                # content; its merge reads the old block instead.
+                break
             targets.append((b, g2))
         first = targets[0][0]
         last = targets[-1][0]
@@ -1087,8 +1093,16 @@ class Hypervisor:
         if owner is None or owner.gpa == writer_gpa:
             return
         if owner.state is TrackState.DISCARDED:
-            # Fetch C0 before C1 lands on disk.
-            self._refault_from_image(vm, owner.gpa, "host", readahead=1)
+            # Fetch C0 before C1 lands on disk.  A page under Preventer
+            # emulation needs C0 only for its merge, so merge it now.
+            preventer = vm.preventer
+            if preventer is not None and owner.gpa in preventer._emulated:
+                preventer.force_close(owner.gpa)
+                vm.counters.preventer_merges += 1
+                self._merge_buffered_page(vm, owner.gpa, sync=True,
+                                          context="host")
+            else:
+                self._refault_from_image(vm, owner.gpa, "host", readahead=1)
             vm.counters.mapper_invalidations += 1
         if mapper.is_tracked_resident(owner.gpa):
             gpa = owner.gpa
