@@ -121,6 +121,24 @@ def test_overloaded_crash_surfaces_typed_losses(sweep):
     assert len(lost_named) == counters["vms_lost"]
 
 
+def test_vms_given_up_after_finishing_count_as_completed(sweep):
+    """crash-most at balance x8: some VMs finish before recovery gives
+    them up.  They count as completed, never also as lost, so no VM is
+    counted twice and only unfinished workloads become figure holes."""
+    result = cluster_chaos_cell(_spec(sweep, "crash-most@balancex8"))
+    counters = result.counters
+    assert counters["vms_completed"] + counters["vms_lost"] \
+        <= counters["vms_placed"]
+    survivors = [mark for mark in result.phases
+                 if mark.name == "survivors"][0].payload
+    given_up = {vm for vm, host in survivors["final_hosts"].items()
+                if host == "lost"}
+    holes = {mark.payload["vm"] for mark in result.phases
+             if mark.name == "vm-lost"}
+    assert holes < given_up, "no VM was given up after finishing"
+    assert len(holes) == counters["vms_lost"]
+
+
 # ----------------------------------------------------------------------
 # assembler
 # ----------------------------------------------------------------------
