@@ -81,7 +81,7 @@ def standard_configs(
 #: or semantics of RunResult/FigureResult change; the result store
 #: folds it into every cache key, so stale entries become cache misses
 #: instead of wrong answers.
-RESULT_SCHEMA_VERSION = 1
+RESULT_SCHEMA_VERSION = 2
 
 
 def _require_schema(data: dict, kind: str) -> None:

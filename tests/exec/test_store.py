@@ -89,6 +89,28 @@ def test_stale_key_reads_as_miss(tmp_path):
     assert store.load_cell(spec) is None
 
 
+def test_record_from_the_previous_result_schema_is_a_resume_miss(
+        tmp_path, monkeypatch):
+    """A store written before a result-schema bump (such as the one that
+    changed what cluster-chaos cells report) never serves its rows."""
+    import repro.exec.store as store_module
+    from repro.exec.executor import run_sweep
+    from repro.exec.spec import Sweep
+    from repro.experiments import registry
+
+    monkeypatch.setitem(registry.CELL_RUNNERS, "exp", lambda spec: _result())
+    sweep = Sweep("exp", (_spec(),))
+    store = ResultStore(tmp_path)
+    with monkeypatch.context() as old_schema:
+        old_schema.setattr(store_module, "RESULT_SCHEMA_VERSION",
+                           store_module.RESULT_SCHEMA_VERSION - 1)
+        run_sweep(sweep, store=store)
+        assert run_sweep(sweep, store=store, resume=True).cached == 1
+
+    outcome = run_sweep(sweep, store=store, resume=True)
+    assert (outcome.executed, outcome.cached) == (1, 0)
+
+
 def test_root_collision_raises_config_error(tmp_path):
     not_a_dir = tmp_path / "occupied"
     not_a_dir.write_text("file, not a directory")
