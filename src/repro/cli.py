@@ -7,19 +7,23 @@ Examples::
     vswapper-repro run all --scale 8 --jobs 4 --results-dir results/
     vswapper-repro run all --scale 8 --jobs 4 --results-dir results/ --resume
 
-``--jobs N`` fans the experiment's cells out over N worker processes;
-results are bit-identical to ``--jobs 1`` (each cell builds its own
-seeded machine and the executor gathers results in declaration order).
+``--jobs N`` runs the experiment's cells on a pool of N warm worker
+processes; results are bit-identical to ``--jobs 1`` (each cell builds
+its own seeded cluster and the pool gathers results in declaration
+order).
 ``--results-dir`` persists every cell and figure as JSON; adding
 ``--resume`` skips any cell whose content hash is already stored, so an
 interrupted ``run all`` restarts where it died.
 
-Supervision flags harden long sweeps: ``--timeout S`` gives each cell
-a wall-clock deadline, ``--retries N`` bounds how often a hung or dead
-worker is retried before the cell is quarantined as an explicit hole,
-and ``--kill-workers RATE`` injects deterministic worker-process
-deaths to exercise exactly that recovery path.  ``--paranoid`` turns
-on the runtime invariant auditor inside every simulation.
+The pool supervises its workers: ``--timeout S`` gives each cell a
+wall-clock deadline, ``--retries N`` bounds how often a cell whose
+worker hung or died is retried before it is quarantined as an explicit
+hole, and ``--kill-workers RATE`` injects deterministic worker-process
+deaths to exercise exactly that recovery path.  Any of the three runs
+even ``--jobs 1`` on a one-worker pool.  A cell that *raises* -- a
+harness bug, or an invariant violation under ``--paranoid``, which
+turns on the runtime invariant auditor inside every simulation --
+is never quarantined: it aborts the run with exit 1, serial or not.
 
 ``--profile`` wraps every cell runner in cProfile and writes a
 hot-function report per cell (under ``<results-dir>/profiles/``)
@@ -160,14 +164,13 @@ def build_parser() -> argparse.ArgumentParser:
              "'disk' is the default paper-faithful path")
     run.add_argument(
         "--timeout", type=_positive_float, default=None, metavar="SECONDS",
-        help="per-cell wall-clock deadline; a cell past it is killed, "
-             "retried, and eventually quarantined (selects the "
-             "supervised executor)")
+        help="per-cell wall-clock deadline; a cell past it has its "
+             "worker killed and is retried, then quarantined (runs even "
+             "--jobs 1 on the worker pool)")
     run.add_argument(
         "--retries", type=_non_negative_int, default=None, metavar="N",
         help="retries per cell for environmental failures -- timeouts "
-             "and dead workers -- before quarantine (default: 2 under "
-             "supervision)")
+             "and dead workers -- before quarantine (default: 2)")
     run.add_argument(
         "--kill-workers", type=_rate, default=0.0, metavar="RATE",
         help="chaos: deterministically kill this fraction of first "
@@ -384,12 +387,10 @@ def _run_command(args: argparse.Namespace) -> int:
     if store is not None and args.verify_store:
         report = store.verify(quarantine=True)
         print(f"[{report.describe()}]")
-    executor = make_executor(args.jobs, timeout=args.timeout,
-                             retries=args.retries,
-                             supervise=args.kill_workers > 0)
-
     ctx = _run_context(args)
     with run_context(ctx):
+        executor = make_executor(args.jobs, timeout=args.timeout,
+                                 retries=args.retries)
         if args.experiment == "all":
             totals = [0, 0, 0, 0, 0, 0.0]
             for experiment_id in experiment_ids():

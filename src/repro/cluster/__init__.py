@@ -29,14 +29,12 @@ from repro.cluster.migrate import (
 from repro.cluster.placement import choose_host
 from repro.cluster.recovery import (
     EvacuationController,
-    EvacuationPolicy,
     VmLost,
 )
 
 __all__ = [
     "Cluster",
     "EvacuationController",
-    "EvacuationPolicy",
     "Host",
     "HostState",
     "MIGRATION_SCHEMA_VERSION",

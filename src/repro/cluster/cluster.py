@@ -45,7 +45,6 @@ from repro.cluster.migrate import (
 from repro.cluster.placement import choose_host
 from repro.cluster.recovery import (
     EvacuationController,
-    EvacuationPolicy,
     VmLost,
 )
 
@@ -108,8 +107,7 @@ class Cluster:
         #: loss order.
         self.lost: list[VmLost] = []
         #: Host-failure recovery; idle (and free) unless a host fails.
-        self.evac = EvacuationController(
-            self, EvacuationPolicy.from_fault_config(fault_cfg))
+        self.evac = EvacuationController(self, fault_cfg)
 
         #: Cross-host invariant auditor; --paranoid only.
         self.auditor: ClusterInvariantAuditor | None = (

@@ -46,6 +46,7 @@ from repro.errors import (
     HostError,
     PlacementError,
 )
+from repro.faults.plan import capped_backoff
 from repro.host.vm import Vm
 
 from repro.cluster.host import Host
@@ -106,36 +107,6 @@ class VmLost:
                    attempts=data["attempts"])
 
 
-@dataclass(frozen=True)
-class EvacuationPolicy:
-    """Retry/backoff/deadline knobs of the evacuation controller."""
-
-    max_retries: int = 4
-    backoff_base: float = 0.5
-    backoff_factor: float = 2.0
-    backoff_cap: float = 8.0
-    deadline: float = 60.0
-
-    def backoff(self, attempt: int) -> float:
-        """Capped exponential wait before retrying after ``attempt``."""
-        return min(self.backoff_cap,
-                   self.backoff_base * self.backoff_factor ** (attempt - 1))
-
-    @classmethod
-    def from_fault_config(cls,
-                          cfg: FaultConfig | None) -> "EvacuationPolicy":
-        """The policy a cluster's fault config asks for (or defaults)."""
-        if cfg is None:
-            return cls()
-        return cls(
-            max_retries=cfg.evac_max_retries,
-            backoff_base=cfg.evac_backoff_base,
-            backoff_factor=cfg.evac_backoff_factor,
-            backoff_cap=cfg.evac_backoff_cap,
-            deadline=cfg.evac_deadline,
-        )
-
-
 @dataclass
 class Evacuation:
     """In-flight recovery state of one orphaned VM."""
@@ -165,9 +136,11 @@ class EvacuationController:
     """
 
     def __init__(self, cluster: "Cluster",
-                 policy: EvacuationPolicy) -> None:
+                 faults: FaultConfig | None) -> None:
         self.cluster = cluster
-        self.policy = policy
+        #: Retry/backoff/deadline knobs are the ``evac_*`` fields of the
+        #: cluster's fault config, or their defaults without one.
+        self.cfg = faults or FaultConfig()
         #: vm_id -> in-flight evacuation (the auditor's "limbo" roster).
         self.active: dict[int, Evacuation] = {}
         #: Retries performed across all evacuations (figure counter).
@@ -198,9 +171,9 @@ class EvacuationController:
         if vm.lost or vm.host is not None:
             return  # stale event: already resolved
         now = cluster.now
-        if now - evac.started > self.policy.deadline:
+        if now - evac.started > self.cfg.evac_deadline:
             self._lose(evac, f"deadline exceeded after {evac.attempts} "
-                             f"attempt(s) ({self.policy.deadline:.1f}s)")
+                             f"attempt(s) ({self.cfg.evac_deadline:.1f}s)")
             return
         evac.attempts += 1
         fail_point = None
@@ -231,11 +204,13 @@ class EvacuationController:
     def _retry(self, evac: Evacuation, error: Exception) -> None:
         vm = evac.vm
         cluster = self.cluster
-        if evac.attempts > self.policy.max_retries:
+        if evac.attempts > self.cfg.evac_max_retries:
             self._lose(evac, f"retries exhausted after {evac.attempts} "
                              f"attempt(s): {type(error).__name__}: {error}")
             return
-        delay = self.policy.backoff(evac.attempts)
+        delay = capped_backoff(evac.attempts, self.cfg.evac_backoff_base,
+                               self.cfg.evac_backoff_factor,
+                               self.cfg.evac_backoff_cap)
         self.retries += 1
         if cluster.trace.enabled:
             cluster.trace.emit(

@@ -480,9 +480,10 @@ class FaultConfig:
     #: trips and tracking falls back to baseline swapping.
     mapper_breaker_threshold: int = 8
     # --- executor (chaos outside the simulation) ----------------------
-    #: Probability a supervised worker process kills itself (hard
+    #: Probability a pool worker process kills itself (hard
     #: ``os._exit``) before running its cell.  Exercises the
-    #: CellSupervisor's crash recovery; plain executors ignore it.
+    #: CellSupervisor's crash recovery; the serial executor ignores it
+    #: (a nonzero rate makes ``make_executor`` pick the pool).
     worker_kill_rate: float = 0.0
     #: Kills only strike attempts up to this number (1 = first attempt
     #: only), so a retrying supervisor always recovers the cell.

@@ -26,8 +26,8 @@ class InvariantViolation(SimulationError):
     Raised by the invariant auditor (:mod:`repro.audit`) when a
     ``--paranoid`` run finds frame-conservation drift, an EPT/mapper
     inconsistency, or a non-monotonic engine clock.  Unlike the fault
-    family this always means a simulator bug: the supervisor quarantines
-    the cell instead of retrying, and an unsupervised run aborts.
+    family this always means a simulator bug, so it is never a figure
+    hole: it aborts the sweep under every executor, without retry.
     """
 
 

@@ -3,14 +3,13 @@
 Experiments *declare* their parameter grid as a
 :class:`~repro.exec.spec.Sweep` of frozen
 :class:`~repro.exec.spec.CellSpec`\\ s; :func:`~repro.exec.executor.run_sweep`
-executes it serially or on a process pool, consults the
+executes it serially or on the supervised worker pool, consults the
 content-addressed :class:`~repro.exec.store.ResultStore` for resumable
 caching, and hands the results back for figure assembly.  See
 DESIGN.md, "The exec layer".
 """
 
 from repro.exec.executor import (
-    ParallelExecutor,
     SerialExecutor,
     SweepOutcome,
     execute_cell,
@@ -22,7 +21,6 @@ from repro.exec.supervisor import (
     CellFailure,
     CellSupervisor,
     FailureKind,
-    SupervisorConfig,
 )
 from repro.exec.spec import (
     SPEC_SCHEMA_VERSION,
@@ -38,7 +36,6 @@ from repro.exec.store import (
     STORE_CRASH_EXIT,
     StoreCompactReport,
     StoreGcReport,
-    StoreLockConfig,
     StoreVerifyReport,
     cell_key,
     figure_key,
@@ -49,7 +46,6 @@ __all__ = [
     "CellSpec",
     "CellSupervisor",
     "FailureKind",
-    "ParallelExecutor",
     "QuarantineReason",
     "ResultStore",
     "SPEC_SCHEMA_VERSION",
@@ -57,9 +53,7 @@ __all__ = [
     "SerialExecutor",
     "StoreCompactReport",
     "StoreGcReport",
-    "StoreLockConfig",
     "StoreVerifyReport",
-    "SupervisorConfig",
     "Sweep",
     "SweepOutcome",
     "cell_key",

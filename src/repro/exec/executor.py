@@ -1,33 +1,35 @@
-"""Cell executors: serial, process-pool parallel, and the sweep driver.
+"""Cell executors and the sweep driver.
 
-All executors run the same pure function, :func:`execute_cell`, over
+Both executors run the same pure function, :func:`execute_cell`, over
 :class:`~repro.exec.spec.CellSpec`\\ s.  Each cell builds its own seeded
-:class:`~repro.cluster.Cluster`, so cells share no state and the
-parallel executor's results are bit-identical to the serial one's --
-results are gathered back into sweep order regardless of completion
-order, and a property test enforces the equality.
+:class:`~repro.cluster.Cluster`, so cells share no state:
+:class:`SerialExecutor` runs them in this process, and the
+:class:`~repro.exec.supervisor.CellSupervisor` pool runs them on warm
+worker processes with bit-identical results, gathered back into sweep
+order regardless of completion order (a property test enforces the
+equality).
 
-Fault-induced failures keep their PR-1 semantics: the harness reports
-them as crashed/degraded *cells* (``RunResult.status``), so one faulted
-cell never poisons the pool.  Harness bugs (``ExperimentError``,
-``ConfigError``) still propagate and abort the sweep.  The third
-executor, :class:`~repro.exec.supervisor.CellSupervisor`, extends the
-cell-never-poisons-the-sweep property to the *process* level: hung or
-crashed workers are retried and, failing that, quarantined as typed
-:class:`~repro.exec.supervisor.CellFailure` records.
+Both executors treat a raised error the same way: it aborts the sweep.
+Expected failures -- injected faults, OOM kills, swap-budget
+exhaustion -- never raise; the harness reports them as crashed or
+degraded *cells* (``RunResult.status``).  What still raises is a bug
+(``ExperimentError``, ``ConfigError``, an ``InvariantViolation``) and
+must not pass as a figure hole.  The supervisor adds recovery from the
+two *environmental* failures only a separate process has: a worker
+that dies or hangs is replaced and its cell retried, then quarantined
+as a typed :class:`~repro.exec.supervisor.CellFailure`.
 
 :func:`run_sweep` adds the store integration: with ``resume=True``
 cells whose content hash is already in the :class:`ResultStore` are
 skipped entirely, which is what lets an interrupted ``run all`` restart
 where it died.  Fresh cells are checkpointed to the store *as each one
-finishes* (the ``on_cell`` callback every executor honours), so even a
+finishes* (the ``on_cell`` callback both executors honour), so even a
 sweep that dies mid-batch leaves its completed cells resumable.
 """
 
 from __future__ import annotations
 
 import time
-from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
@@ -35,11 +37,7 @@ from repro.context import RunContext, current_context, run_context
 from repro.errors import ConfigError
 from repro.exec.spec import CellSpec, Sweep, faults_from_params
 from repro.exec.store import ResultStore, cell_key
-from repro.exec.supervisor import (
-    CellFailure,
-    CellSupervisor,
-    SupervisorConfig,
-)
+from repro.exec.supervisor import MAX_RETRIES, CellFailure, CellSupervisor
 from repro.experiments.runner import (
     ConfigName,
     FigureResult,
@@ -85,12 +83,6 @@ def _timed_execute(spec: CellSpec, ctx: RunContext,
     return result, time.perf_counter() - started
 
 
-def _validate_jobs(jobs: int) -> None:
-    """The one authoritative ``--jobs`` check (executors and factory)."""
-    if jobs < 1:
-        raise ConfigError(f"jobs must be a positive integer: {jobs}")
-
-
 #: Per-completed-cell callback: ``(spec, result, wall_seconds)``.  Every
 #: executor invokes it the moment a cell finishes, in completion order;
 #: run_sweep uses it to checkpoint the store incrementally.
@@ -101,6 +93,8 @@ class SerialExecutor:
     """Run cells one after another in this process (the default)."""
 
     jobs = 1
+    #: Nothing is ever retried in-process.
+    retried_cells: tuple[str, ...] = ()
 
     def run_cells(self, specs: Sequence[CellSpec],
                   on_cell: OnCell | None = None,
@@ -116,55 +110,25 @@ class SerialExecutor:
         return results
 
 
-class ParallelExecutor:
-    """Run cells on a process pool, preserving deterministic order.
-
-    Futures are gathered by submission index, never by completion
-    order, so the visible result sequence is independent of scheduling.
-    Worker exceptions surface on :meth:`run_cells` exactly as they
-    would under :class:`SerialExecutor`.
-    """
-
-    def __init__(self, jobs: int) -> None:
-        _validate_jobs(jobs)
-        self.jobs = jobs
-
-    def run_cells(self, specs: Sequence[CellSpec],
-                  on_cell: OnCell | None = None,
-                  ) -> list[tuple[RunResult, float]]:
-        """(result, wall seconds) per spec, in submission order."""
-        specs = list(specs)
-        workers = min(self.jobs, len(specs))
-        if workers <= 1:
-            return SerialExecutor().run_cells(specs, on_cell)
-        ctx = current_context()
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(_timed_execute, spec, ctx)
-                       for spec in specs]
-            if on_cell is not None:
-                spec_of = dict(zip(futures, specs))
-                for future in as_completed(futures):
-                    result, wall = future.result()
-                    on_cell(spec_of[future], result, wall)
-            return [future.result() for future in futures]
-
-
 def make_executor(jobs: int, *, timeout: float | None = None,
-                  retries: int | None = None, supervise: bool = False,
-                  ) -> SerialExecutor | ParallelExecutor | CellSupervisor:
-    """The executor for a ``--jobs`` value (1 = serial).
+                  retries: int | None = None,
+                  ) -> SerialExecutor | CellSupervisor:
+    """The executor for ``--jobs``, ``--timeout`` and ``--retries``.
 
-    Asking for any supervision feature -- a per-cell ``timeout``, an
-    explicit ``retries`` budget, or ``supervise=True`` (the CLI sets it
-    for worker-kill chaos) -- selects the :class:`CellSupervisor`;
-    otherwise the plain executors keep their zero-overhead paths.
+    In-process :class:`SerialExecutor` only for one job with nothing to
+    supervise: no per-cell ``timeout``, no ``retries`` budget, and no
+    worker-kill rate in the current run context's fault plan (a worker
+    must exist to be killed).  Everything else runs on the
+    :class:`CellSupervisor` pool.
     """
-    _validate_jobs(jobs)
-    if supervise or timeout is not None or retries is not None:
-        overrides = {} if retries is None else {"max_retries": retries}
-        return CellSupervisor(
-            jobs, SupervisorConfig(timeout=timeout, **overrides))
-    return SerialExecutor() if jobs == 1 else ParallelExecutor(jobs)
+    faults = current_context().faults
+    kills = (faults is not None and faults.enabled
+             and faults.worker_kill_rate > 0)
+    if jobs == 1 and timeout is None and retries is None and not kills:
+        return SerialExecutor()
+    return CellSupervisor(
+        jobs, timeout=timeout,
+        max_retries=MAX_RETRIES if retries is None else retries)
 
 
 def _failure_result(spec: CellSpec, failure: CellFailure) -> RunResult:
@@ -221,8 +185,7 @@ class SweepOutcome:
 
 
 def run_sweep(sweep: Sweep, *,
-              executor: SerialExecutor | ParallelExecutor | CellSupervisor
-              | None = None,
+              executor: SerialExecutor | CellSupervisor | None = None,
               store: ResultStore | None = None,
               resume: bool = False) -> SweepOutcome:
     """Execute a sweep: resolve cache hits, run the rest, persist.
@@ -278,7 +241,7 @@ def run_sweep(sweep: Sweep, *,
         sweep=sweep, results=results, wall_seconds=walls,
         executed=len(fresh) - len(failures), cached=len(cached),
         failures=failures,
-        retried=len(getattr(executor, "retried_cells", ())),
+        retried=len(executor.retried_cells),
         cached_wall_seconds=cached_walls,
         cached_traceless=cached_traceless)
 

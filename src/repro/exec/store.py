@@ -89,6 +89,7 @@ from repro.experiments.runner import (
 from repro.faults.plan import (
     StoreFaultConfig,
     StoreFaultPoint,
+    capped_backoff,
     should_strike_store,
 )
 
@@ -174,31 +175,15 @@ def _verify_text(text: str) -> tuple[dict | None, QuarantineReason | None,
 # locking
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class StoreLockConfig:
-    """Retry/backoff tunables of store lock acquisition."""
-
-    #: Give up (StoreContentionError) after contending this long.
-    timeout: float = 30.0
-    #: First retry waits this long...
-    backoff_base: float = 0.002
-    #: ...each further retry multiplies the wait by this factor...
-    backoff_factor: float = 2.0
-    #: ...capped here, so probing stays responsive under churn.
-    backoff_cap: float = 0.25
-
-    def validate(self) -> None:
-        if self.timeout <= 0:
-            raise ConfigError(f"lock timeout must be positive: {self.timeout}")
-        if self.backoff_base < 0 or self.backoff_cap < 0:
-            raise ConfigError("lock backoff must be non-negative")
-        if self.backoff_factor < 1.0:
-            raise ConfigError("lock backoff_factor must be >= 1")
-
-    def backoff(self, attempt: int) -> float:
-        """Seconds to wait before acquisition retry ``attempt`` (1-based)."""
-        return min(self.backoff_cap,
-                   self.backoff_base * self.backoff_factor ** (attempt - 1))
+#: Lock acquisition gives up (StoreContentionError) after contending
+#: this many seconds...
+LOCK_TIMEOUT = 30.0
+#: ...retrying after LOCK_BACKOFF_BASE seconds, each further wait
+#: LOCK_BACKOFF_FACTOR times longer and never more than LOCK_BACKOFF_CAP,
+#: so probing stays responsive under churn.
+LOCK_BACKOFF_BASE = 0.002
+LOCK_BACKOFF_FACTOR = 2.0
+LOCK_BACKOFF_CAP = 0.25
 
 
 # ----------------------------------------------------------------------
@@ -334,15 +319,14 @@ class ResultStore:
 
     Safe for concurrent use by multiple processes; see the module
     docstring for the integrity/locking protocol.  ``faults`` arms the
-    seeded crash-injection points, ``lock`` tunes contention backoff,
-    and ``verify_on_open=True`` runs a fast verification pass at
-    construction (quarantining any corrupt record), which is how
-    executor startup audits a store before trusting ``--resume``.
+    seeded crash-injection points, and ``verify_on_open=True`` runs a
+    fast verification pass at construction (quarantining any corrupt
+    record), which is how executor startup audits a store before
+    trusting ``--resume``.
     """
 
     def __init__(self, root: str | Path, *,
                  faults: StoreFaultConfig | None = None,
-                 lock: StoreLockConfig | None = None,
                  verify_on_open: bool = False) -> None:
         self.root = Path(root)
         if self.root.exists() and not self.root.is_dir():
@@ -354,8 +338,6 @@ class ResultStore:
             raise ConfigError(
                 f"cannot create results dir {self.root}: {error}"
             ) from error
-        self.lock_config = lock or StoreLockConfig()
-        self.lock_config.validate()
         self._injector = None
         if faults is not None and faults.enabled:
             self._injector = _StoreFaultInjector(
@@ -421,7 +403,7 @@ class ResultStore:
         try:
             if fcntl is not None:
                 flags = (fcntl.LOCK_EX if exclusive else fcntl.LOCK_SH)
-                deadline = time.monotonic() + self.lock_config.timeout
+                deadline = time.monotonic() + LOCK_TIMEOUT
                 attempt = 0
                 while True:
                     try:
@@ -434,10 +416,13 @@ class ResultStore:
                             raise StoreContentionError(
                                 f"{what}: lock {path.name} still "
                                 f"contended after "
-                                f"{self.lock_config.timeout}s "
+                                f"{LOCK_TIMEOUT}s "
                                 f"({attempt} attempts)") from None
-                        time.sleep(min(self.lock_config.backoff(attempt),
-                                       deadline - now))
+                        time.sleep(min(
+                            capped_backoff(attempt, LOCK_BACKOFF_BASE,
+                                           LOCK_BACKOFF_FACTOR,
+                                           LOCK_BACKOFF_CAP),
+                            deadline - now))
             yield handle
         finally:
             if fcntl is not None:

@@ -240,8 +240,8 @@ def run_guarded(config: ConfigName, body: Callable[[], RunResult],
     (default: a bare crashed result for ``config``) with reason
     ``"ErrorType: message"``, so the sweep goes on with a figure hole.
     :class:`InvariantViolation` derives SimulationError but is a
-    simulator bug, not a hole: it propagates, so the supervisor
-    quarantines it (kind ``invariant``) or an unsupervised run aborts.
+    simulator bug, not a hole: it propagates and aborts the sweep,
+    serial or on the worker pool.
     """
     try:
         return body()

@@ -8,7 +8,7 @@ A :class:`~repro.faults.plan.FaultPlan` is built from a seeded
 * the Swap Mapper (forced consistency invalidations, whose repetition
   trips a per-VM circuit breaker into the paper's Section 4.1 fallback
   to ordinary uncooperative swapping),
-* the supervised executor (:func:`should_kill_worker` hard-kills
+* the worker pool (:func:`should_kill_worker` hard-kills
   worker processes *outside* the simulation, exercising the
   CellSupervisor's crash recovery without perturbing results).
 

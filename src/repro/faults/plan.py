@@ -26,9 +26,20 @@ def default_fault_config() -> FaultConfig | None:
     return current_context().faults
 
 
+def capped_backoff(attempt: int, base: float, factor: float,
+                   cap: float) -> float:
+    """Seconds to wait before retry number ``attempt`` (1-based):
+    exponential from ``base`` by ``factor``, never more than ``cap``.
+
+    The one retry formula of the worker pool, the store's lock loop and
+    host-failure evacuation.
+    """
+    return min(cap, base * factor ** (attempt - 1))
+
+
 def should_kill_worker(config: FaultConfig, cell_id: str, seed: int,
                        attempt: int) -> bool:
-    """Whether a supervised worker kills itself before running a cell.
+    """Whether a pool worker kills itself before running a cell.
 
     The draw is a pure function of (seed, cell id, attempt) -- its RNG
     is forked fresh here, never from the machine's stream -- so the

@@ -9,7 +9,8 @@ import dataclasses
 
 from repro.cluster import Cluster
 from repro.config import ClusterConfig, ClusterMigrationConfig
-from repro.exec.executor import ParallelExecutor, SerialExecutor, run_sweep
+from repro.exec.executor import SerialExecutor, run_sweep
+from repro.exec.supervisor import CellSupervisor
 from repro.experiments.cluster import (
     GUEST_MIB,
     STAGGER_SECONDS,
@@ -82,7 +83,7 @@ def test_cluster_cells_parallel_identical_to_serial():
         scale=32, config_names=(ConfigName.BASELINE,),
         policies=("first-fit",), fleet_sizes=(8,))
     serial = run_sweep(sweep, executor=SerialExecutor())
-    parallel = run_sweep(sweep, executor=ParallelExecutor(2))
+    parallel = run_sweep(sweep, executor=CellSupervisor(2))
 
     assert list(serial.results) == list(parallel.results)
     migrated = 0

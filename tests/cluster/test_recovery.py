@@ -12,7 +12,6 @@ import pytest
 
 from repro.cluster import Cluster, choose_host, migrate_vm
 from repro.cluster.host import HostState
-from repro.cluster.recovery import EvacuationPolicy
 from repro.config import (
     ClusterConfig,
     ClusterMigrationConfig,
@@ -21,6 +20,7 @@ from repro.config import (
 )
 from repro.context import RunContext, run_context
 from repro.errors import PlacementError
+from repro.faults.plan import capped_backoff
 from tests.cluster.conftest import fill_to_limit, small_node
 from tests.conftest import small_vm_config
 
@@ -159,7 +159,7 @@ def test_no_capacity_becomes_a_typed_vm_lost():
     # diagnostics (the PlacementError message is embedded verbatim).
     assert "state=failed" in hole.reason
     # First attempt plus evac_max_retries retries.
-    assert hole.attempts == EvacuationPolicy().max_retries + 1
+    assert hole.attempts == FaultConfig().evac_max_retries + 1
 
 
 def test_evac_deadline_loses_the_vm():
@@ -177,10 +177,12 @@ def test_evac_deadline_loses_the_vm():
 
 
 def test_backoff_is_capped_exponential():
-    policy = EvacuationPolicy(backoff_base=0.5, backoff_factor=2.0,
-                              backoff_cap=8.0)
-    assert [policy.backoff(n) for n in range(1, 7)] == \
-        [0.5, 1.0, 2.0, 4.0, 8.0, 8.0]
+    """Evacuation retries wait the default capped-exponential schedule,
+    on the virtual clock."""
+    cfg = FaultConfig()
+    assert [capped_backoff(n, cfg.evac_backoff_base,
+                           cfg.evac_backoff_factor, cfg.evac_backoff_cap)
+            for n in range(1, 7)] == [0.5, 1.0, 2.0, 4.0, 8.0, 8.0]
 
 
 def test_retry_succeeds_once_capacity_frees_up():

@@ -4,7 +4,6 @@ import pytest
 
 from repro.errors import ConfigError, ExperimentError
 from repro.exec.executor import (
-    ParallelExecutor,
     SerialExecutor,
     execute_cell,
     make_executor,
@@ -12,6 +11,7 @@ from repro.exec.executor import (
 )
 from repro.exec.spec import CellSpec, Sweep
 from repro.exec.store import ResultStore
+from repro.exec.supervisor import CellSupervisor
 from repro.experiments import registry
 from repro.experiments.runner import ConfigName, RunResult
 
@@ -106,21 +106,26 @@ def test_resume_without_store_raises_config_error():
 
 def test_parallel_executor_matches_serial_on_fake_cells():
     serial = run_sweep(_sweep(4))
-    parallel = run_sweep(_sweep(4), executor=ParallelExecutor(2))
+    parallel = run_sweep(_sweep(4), executor=CellSupervisor(2))
     assert serial.results == parallel.results
     assert list(parallel.results) == ["c0", "c1", "c2", "c3"]
 
 
 def test_make_executor_validation():
     assert isinstance(make_executor(1), SerialExecutor)
-    assert isinstance(make_executor(2), ParallelExecutor)
+    assert isinstance(make_executor(2), CellSupervisor)
     with pytest.raises(ConfigError):
         make_executor(0)
     with pytest.raises(ConfigError):
-        ParallelExecutor(-1)
+        CellSupervisor(-1)
 
 
-def test_single_cell_parallel_falls_back_to_serial():
-    outcome = run_sweep(_sweep(1), executor=ParallelExecutor(8))
+def test_single_cell_starts_one_worker(monkeypatch):
+    started = []
+    start = CellSupervisor._start_worker
+    monkeypatch.setattr(CellSupervisor, "_start_worker", staticmethod(
+        lambda workers, ctx: started.append(1) or start(workers, ctx)))
+    outcome = run_sweep(_sweep(1), executor=CellSupervisor(8))
     assert outcome.executed == 1
-    assert CALLS == ["c0"]  # ran in-process, no pool spawned
+    assert CALLS == []  # ran in the worker, not in this process
+    assert started == [1]

@@ -2,7 +2,7 @@
 
 Runs the real Figure 9 harness -- cells build their own seeded
 machines -- once on the serial executor and once on a four-worker
-process pool, with and without the chaos fault plan, and requires the
+supervised pool, with and without the chaos fault plan, and requires the
 *exact* same counters, runtimes, phases, and statuses per cell.
 """
 
@@ -10,7 +10,8 @@ import pytest
 
 from repro.config import FaultConfig
 from repro.context import RunContext, run_context
-from repro.exec.executor import ParallelExecutor, SerialExecutor, run_sweep
+from repro.exec.executor import SerialExecutor, run_sweep
+from repro.exec.supervisor import CellSupervisor
 from repro.experiments.fig09 import build_fig09_sweep
 
 SCALE = 8
@@ -26,7 +27,7 @@ def test_parallel_results_bit_identical_to_serial(fault_config):
     # executors below run under the default context, proving a worker
     # process needs nothing but the spec.
     serial = run_sweep(sweep, executor=SerialExecutor())
-    parallel = run_sweep(sweep, executor=ParallelExecutor(4))
+    parallel = run_sweep(sweep, executor=CellSupervisor(4))
 
     assert list(serial.results) == list(parallel.results)
     for cell_id, expected in serial.results.items():

@@ -1,13 +1,16 @@
 """The ``--profile`` harness: the run context's profile directory,
 report placement, and the results-stay-identical guarantee."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro import profiling
 from repro.cli import build_parser
+from repro.config import FaultConfig
 from repro.context import RunContext, run_context
-from repro.exec.executor import ParallelExecutor, execute_cell
-from repro.exec.spec import CellSpec
+from repro.exec.executor import execute_cell
+from repro.exec.spec import CellSpec, fault_params
 from repro.exec.store import cell_key
 from repro.exec.supervisor import CellSupervisor
 from repro.experiments import registry
@@ -77,19 +80,25 @@ def test_profiled_results_are_identical(tmp_path):
 
 
 def test_parallel_executor_profiles_every_worker_cell(tmp_path):
+    """Three cells on two warm workers: one worker profiles two cells."""
     specs = [_spec(i) for i in range(3)]
     with _profiling(tmp_path):
-        results = ParallelExecutor(jobs=2).run_cells(specs)
+        results = CellSupervisor(jobs=2).run_cells(specs)
         assert [r.counters["value"] for r, _ in results] == [0, 1, 2]
         for spec in specs:
             assert profiling.profile_report_path(spec).exists()
 
 
 def test_supervisor_profiles_every_worker_cell(tmp_path):
-    specs = [_spec(i) for i in range(2)]
+    """Killed first attempts leave the retry on a fresh worker to write
+    the report."""
+    kill = fault_params(FaultConfig(enabled=True, worker_kill_rate=1.0))
+    specs = [replace(_spec(i), faults=kill) for i in range(2)]
     with _profiling(tmp_path):
-        results = CellSupervisor(jobs=2).run_cells(specs)
+        supervisor = CellSupervisor(jobs=2, timeout=60.0)
+        results = supervisor.run_cells(specs)
         assert [r.counters["value"] for r, _ in results] == [0, 1]
+        assert supervisor.retried_cells == ["c0", "c1"]
         for spec in specs:
             assert profiling.profile_report_path(spec).exists()
 

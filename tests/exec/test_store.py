@@ -5,20 +5,23 @@ import json
 import pytest
 
 from repro.errors import ConfigError, StoreContentionError, StoreIntegrityError
-from repro.exec.spec import CellSpec
+from repro.exec import store as store_module
+from repro.exec.executor import run_sweep
+from repro.exec.spec import CellSpec, Sweep
 from repro.exec.store import (
     QuarantineReason,
     ResultStore,
-    StoreLockConfig,
     _payload_checksum,
     cell_key,
 )
+from repro.experiments import registry
 from repro.experiments.runner import (
     ConfigName,
     FigureResult,
     PhaseMark,
     RunResult,
 )
+from repro.faults.plan import capped_backoff
 
 
 def _spec(**overrides) -> CellSpec:
@@ -93,11 +96,6 @@ def test_record_from_the_previous_result_schema_is_a_resume_miss(
         tmp_path, monkeypatch):
     """A store written before a result-schema bump (such as the one that
     changed what cluster-chaos cells report) never serves its rows."""
-    import repro.exec.store as store_module
-    from repro.exec.executor import run_sweep
-    from repro.exec.spec import Sweep
-    from repro.experiments import registry
-
     monkeypatch.setitem(registry.CELL_RUNNERS, "exp", lambda spec: _result())
     sweep = Sweep("exp", (_spec(),))
     store = ResultStore(tmp_path)
@@ -366,10 +364,11 @@ def test_compact_leaves_one_record_per_live_key(tmp_path):
 # locking
 # ----------------------------------------------------------------------
 
-def test_contended_record_lock_raises_typed_error(tmp_path):
+def test_contended_record_lock_raises_typed_error(tmp_path, monkeypatch):
     fcntl = pytest.importorskip("fcntl")
-    store = ResultStore(
-        tmp_path, lock=StoreLockConfig(timeout=0.05, backoff_base=0.001))
+    monkeypatch.setattr(store_module, "LOCK_TIMEOUT", 0.05)
+    monkeypatch.setattr(store_module, "LOCK_BACKOFF_BASE", 0.001)
+    store = ResultStore(tmp_path)
     spec = _spec()
     lock_path = store._record_lock_path(cell_key(spec)[:12])
     lock_path.parent.mkdir(parents=True, exist_ok=True)
@@ -385,17 +384,12 @@ def test_contended_record_lock_raises_typed_error(tmp_path):
 
 
 def test_lock_backoff_is_capped_exponential():
-    config = StoreLockConfig(backoff_base=0.01, backoff_factor=2.0,
-                             backoff_cap=0.05)
-    waits = [config.backoff(attempt) for attempt in range(1, 6)]
-    assert waits == [0.01, 0.02, 0.04, 0.05, 0.05]
-
-
-def test_lock_config_validates():
-    with pytest.raises(ConfigError):
-        StoreLockConfig(timeout=0.0).validate()
-    with pytest.raises(ConfigError):
-        StoreLockConfig(backoff_factor=0.5).validate()
+    waits = [capped_backoff(attempt, store_module.LOCK_BACKOFF_BASE,
+                            store_module.LOCK_BACKOFF_FACTOR,
+                            store_module.LOCK_BACKOFF_CAP)
+             for attempt in range(1, 10)]
+    assert waits == [0.002, 0.004, 0.008, 0.016, 0.032, 0.064, 0.128,
+                     0.25, 0.25]
 
 
 def test_gc_sweeps_tmp_orphans_older_than_the_last_write(tmp_path):

@@ -11,11 +11,7 @@ from repro.cluster import Cluster
 from repro.config import FaultConfig
 from repro.context import RunContext, current_context, run_context
 from repro.errors import ConfigError
-from repro.exec.executor import (
-    ParallelExecutor,
-    _timed_execute,
-    execute_cell,
-)
+from repro.exec.executor import _timed_execute, execute_cell, make_executor
 from repro.exec.spec import CellSpec
 from repro.exec.supervisor import CellSupervisor
 from repro.experiments import registry
@@ -134,7 +130,8 @@ def test_execute_cell_restores_the_context(monkeypatch):
 
 
 @pytest.mark.parametrize("make", [
-    lambda: ParallelExecutor(2), lambda: CellSupervisor(2),
+    lambda: make_executor(2),
+    lambda: CellSupervisor(2, timeout=60.0, max_retries=1),
 ], ids=["parallel", "supervisor"])
 def test_paranoid_reaches_worker_processes(probe, make):
     executor = make()

@@ -2,7 +2,8 @@
 
 import json
 
-from repro.exec.executor import ParallelExecutor, run_sweep
+from repro.exec.executor import run_sweep
+from repro.exec.supervisor import CellSupervisor
 from repro.exec.store import ResultStore
 from repro.context import RunContext, run_context
 from repro.trace.collector import TraceCollector
@@ -97,7 +98,7 @@ def test_parallel_sweep_exports_byte_identically_to_serial(tmp_path):
         serial_store = ResultStore(tmp_path / "serial")
         run_sweep(sweep, store=serial_store)
         parallel_store = ResultStore(tmp_path / "parallel")
-        run_sweep(sweep, executor=ParallelExecutor(2), store=parallel_store)
+        run_sweep(sweep, executor=CellSupervisor(2), store=parallel_store)
 
     documents = []
     for store in (serial_store, parallel_store):
